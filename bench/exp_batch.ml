@@ -1,22 +1,22 @@
-(* Set-at-a-time batched path kernel: per-node vs batched engine.
+(* The production engine against the paper-faithful oracle.
 
    Runs the full 57-shape survey suite (Workload.Bench_shapes) over a
-   generated Kg graph through Provenance.Engine twice — once with
-   ~kernel:`Per_node (the classic engine: every path evaluation
-   anchored at one node, neighborhoods as persistent graphs) and once
-   with the default ~kernel:`Batched (each (path, candidate-set) pair
-   primed once through Rdf.Path.eval_batch into a shared read-only
-   Path_memo base; fragment neighborhoods accumulated as store-row
-   sets).  Reports, and records in BENCH_batch.json:
+   generated Kg graph twice per job: once through the sequential
+   reference implementation (Fragment.frag_schema, Validate.validate)
+   and once through Provenance.Engine at -j 1 (target-pruned planning,
+   each (path, candidate-set) pair primed once through the
+   set-at-a-time Rdf.Path.Batch kernel, fragment neighborhoods
+   accumulated as store-row sets; validation checked per node).
+   Reports, and records in BENCH_batch.json:
 
-   - fragment extraction per-node vs batched at -j 1 (interleaved
-     min-of-pairs), with the batched run's batch_calls /
+   - fragment extraction oracle vs engine at -j 1 (interleaved
+     min-of-pairs), with the engine run's batch_calls /
      batch_sources / rows_materialized counters;
-   - validation per-node vs batched at -j 1;
+   - validation oracle vs engine at -j 1;
    - whether the outputs are identical — the fragment byte-for-byte on
      the Turtle serialization (and as graph equality) and the
-     validation report byte-for-byte.  They must be: the kernel is a
-     pure evaluation-strategy change;
+     validation report byte-for-byte.  They must be: the engine
+     computes the oracle's function;
    - the request-sharing path, exercised deliberately: the survey
      suite's 57 requests are pairwise distinct after resolution + NNF,
      so plain runs legitimately report requests_shared = 0 (the
@@ -61,9 +61,9 @@ let min_of_pairs ~pairs f_a f_b =
   (!best_a, Option.get !last_a, !best_b, Option.get !last_b)
 
 let run ~quick =
-  Util.header "Batched path kernel: per-node vs set-at-a-time (57-shape survey)";
+  Util.header "Engine vs oracle: fragment and validate (57-shape survey)";
   let individuals = if quick then 6000 else 20000 in
-  (* Freeze once, outside the timed region: both kernels run over the
+  (* Freeze once, outside the timed region: both sides run over the
      same interned store, so the comparison isolates the evaluation
      strategy rather than re-measuring dictionary construction. *)
   let g = Rdf.Graph.freeze (Kg.generate ~seed:42 ~individuals) in
@@ -72,46 +72,46 @@ let run ~quick =
   let schema = schema_of_entries entries in
   Printf.printf "graph: %d individuals, %d triples; %d shapes\n" individuals
     triples (List.length entries);
-  (* Fragment extraction: per-node vs batched, -j 1. *)
+  (* Fragment extraction: oracle vs engine, -j 1.  The oracle checks
+     every graph node against every request, so it gets fewer pairs. *)
   let requests = Engine.requests_of_schema schema in
-  let t_frag_per, (frag_per, _), t_frag_batch, (frag_batch, fstats) =
-    min_of_pairs ~pairs:4
-      (fun () -> Engine.run ~schema ~jobs:1 ~kernel:`Per_node g requests)
-      (fun () -> Engine.run ~schema ~jobs:1 ~kernel:`Batched g requests)
+  let t_frag_oracle, frag_oracle, t_frag_engine, (frag_engine, fstats) =
+    min_of_pairs ~pairs:3
+      (fun () -> Provenance.Fragment.frag_schema schema g)
+      (fun () -> Engine.run ~schema ~jobs:1 g requests)
   in
   let fragments_identical =
-    Rdf.Graph.equal frag_per frag_batch
+    Rdf.Graph.equal frag_oracle frag_engine
     && String.equal
-         (Rdf.Turtle.to_string frag_per)
-         (Rdf.Turtle.to_string frag_batch)
+         (Rdf.Turtle.to_string frag_oracle)
+         (Rdf.Turtle.to_string frag_engine)
   in
   let batch_calls = fstats.Engine.Stats.batch_calls in
   let batch_sources = fstats.Engine.Stats.batch_sources in
   let rows_materialized = fstats.Engine.Stats.rows_materialized in
   Printf.printf
-    "fragment per-node: %s; batched: %s  (%.2fx; %d batch call(s), %d \
+    "fragment oracle: %s; engine: %s  (%.2fx; %d batch call(s), %d \
      source(s), %d row(s); fragments identical: %b)\n"
-    (Format.asprintf "%a" Util.pp_seconds t_frag_per)
-    (Format.asprintf "%a" Util.pp_seconds t_frag_batch)
-    (t_frag_per /. t_frag_batch)
+    (Format.asprintf "%a" Util.pp_seconds t_frag_oracle)
+    (Format.asprintf "%a" Util.pp_seconds t_frag_engine)
+    (t_frag_oracle /. t_frag_engine)
     batch_calls batch_sources rows_materialized fragments_identical;
-  (* Validation: per-node vs batched, -j 1. *)
-  let t_val_per, (report_per, _), t_val_batch, (report_batch, vstats) =
+  (* Validation: oracle vs engine, -j 1. *)
+  let t_val_oracle, report_oracle, t_val_engine, (report_engine, _) =
     min_of_pairs ~pairs:6
-      (fun () -> Engine.validate ~jobs:1 ~kernel:`Per_node schema g)
-      (fun () -> Engine.validate ~jobs:1 ~kernel:`Batched schema g)
+      (fun () -> Validate.validate schema g)
+      (fun () -> Engine.validate ~jobs:1 schema g)
   in
   let report_bytes r = Format.asprintf "%a" Validate.pp_report r in
   let reports_identical =
-    String.equal (report_bytes report_per) (report_bytes report_batch)
+    String.equal (report_bytes report_oracle) (report_bytes report_engine)
   in
   Printf.printf
-    "validate per-node: %s; batched: %s  (%.2fx; %d batch call(s); reports \
-     identical: %b)\n"
-    (Format.asprintf "%a" Util.pp_seconds t_val_per)
-    (Format.asprintf "%a" Util.pp_seconds t_val_batch)
-    (t_val_per /. t_val_batch)
-    vstats.Engine.Stats.batch_calls reports_identical;
+    "validate oracle: %s; engine: %s  (%.2fx; reports identical: %b)\n"
+    (Format.asprintf "%a" Util.pp_seconds t_val_oracle)
+    (Format.asprintf "%a" Util.pp_seconds t_val_engine)
+    (t_val_oracle /. t_val_engine)
+    reports_identical;
   (* Request sharing: alias every request under a second label so the
      optimizer's structural-equality sharing has something to merge. *)
   let aliased =
@@ -124,7 +124,7 @@ let run ~quick =
     Engine.run ~schema ~jobs:1 ~optimize:true g aliased
   in
   let requests_shared = astats.Engine.Stats.requests_shared in
-  let aliased_identical = Rdf.Graph.equal frag_aliased frag_per in
+  let aliased_identical = Rdf.Graph.equal frag_aliased frag_engine in
   if requests_shared = 0 then
     failwith "request-sharing path not exercised (requests_shared = 0)";
   Printf.printf
@@ -137,13 +137,13 @@ let run ~quick =
   let oc = open_out "BENCH_batch.json" in
   Printf.fprintf oc
     "{\n\
-    \  \"experiment\": \"batched path kernel: per-node vs set-at-a-time\",\n\
+    \  \"experiment\": \"engine vs oracle: fragment and validate\",\n\
     \  \"workload\": \"Kg.generate ~seed:42 ~individuals:%d\",\n\
     \  \"triples\": %d,\n\
     \  \"shapes\": %d,\n\
     \  \"fragment\": {\n\
-    \    \"per_node_seconds\": %.6f,\n\
-    \    \"batched_seconds\": %.6f,\n\
+    \    \"oracle_seconds\": %.6f,\n\
+    \    \"engine_seconds\": %.6f,\n\
     \    \"speedup\": %.3f,\n\
     \    \"batch_calls\": %d,\n\
     \    \"batch_sources\": %d,\n\
@@ -151,22 +151,20 @@ let run ~quick =
     \    \"fragments_identical\": %b\n\
     \  },\n\
     \  \"validate\": {\n\
-    \    \"per_node_seconds\": %.6f,\n\
-    \    \"batched_seconds\": %.6f,\n\
+    \    \"oracle_seconds\": %.6f,\n\
+    \    \"engine_seconds\": %.6f,\n\
     \    \"speedup\": %.3f,\n\
-    \    \"batch_calls\": %d,\n\
     \    \"reports_identical\": %b\n\
     \  },\n\
     \  \"requests_shared\": %d,\n\
     \  \"identical\": %b\n\
      }\n"
-    individuals triples (List.length entries) t_frag_per t_frag_batch
-    (t_frag_per /. t_frag_batch)
-    batch_calls batch_sources rows_materialized fragments_identical t_val_per
-    t_val_batch
-    (t_val_per /. t_val_batch)
-    vstats.Engine.Stats.batch_calls reports_identical requests_shared
-    all_identical;
+    individuals triples (List.length entries) t_frag_oracle t_frag_engine
+    (t_frag_oracle /. t_frag_engine)
+    batch_calls batch_sources rows_materialized fragments_identical
+    t_val_oracle t_val_engine
+    (t_val_oracle /. t_val_engine)
+    reports_identical requests_shared all_identical;
   close_out oc;
   Printf.printf "wrote BENCH_batch.json%s\n"
-    (if all_identical then "" else "  ** MISMATCH per-node vs batched **")
+    (if all_identical then "" else "  ** MISMATCH oracle vs engine **")

@@ -51,8 +51,7 @@ type row = {
   delta : int;       (* triples removed (and later re-added) per apply *)
   dirty : int;
   rechecked : int;
-  t_inc : float;     (* one classic apply (~batch:false), min over cycles *)
-  t_batch : float;   (* one batched apply (~batch:true), min over cycles *)
+  t_inc : float;     (* one apply, min over cycles *)
   t_full : float;    (* validate + run from scratch, min over repeats *)
   identical : bool;
 }
@@ -106,12 +105,9 @@ let run ~quick =
         done;
         (* incremental: apply the delta, then revert it, so each cycle
            (and each later size) starts from the original graph; both
-           directions count as applies.  The classic per-pair recheck
-           (~batch:false) and the batched kernel recheck (~batch:true,
-           the default) are timed back to back within each cycle —
-           interleaved like the min-of-pairs harness — and both must
-           reproduce the from-scratch answers byte-for-byte. *)
-        let t_inc = ref infinity and t_batch = ref infinity in
+           directions count as applies.  The first cycle must reproduce
+           the from-scratch answers byte-for-byte. *)
+        let t_inc = ref infinity in
         let dirty = ref 0 and rechecked = ref 0 in
         let identical = ref true in
         let check_against_scratch () =
@@ -124,39 +120,27 @@ let run ~quick =
         in
         for cycle = 1 to cycles do
           Gc.full_major ();
-          let t, st =
-            Util.time (fun () -> Incremental.apply ~batch:false inc delta)
-          in
+          let t, st = Util.time (fun () -> Incremental.apply inc delta) in
           if t < !t_inc then t_inc := t;
           dirty := st.Incremental.dirty;
           rechecked := st.Incremental.rechecked;
           if cycle = 1 then identical := check_against_scratch ();
           Gc.full_major ();
-          let t, _ = Util.time (fun () -> Incremental.apply ~batch:false inc undo) in
-          if t < !t_inc then t_inc := t;
-          Gc.full_major ();
-          let t, _ =
-            Util.time (fun () -> Incremental.apply ~batch:true inc delta)
-          in
-          if t < !t_batch then t_batch := t;
-          if cycle = 1 then identical := !identical && check_against_scratch ();
-          Gc.full_major ();
-          let t, _ = Util.time (fun () -> Incremental.apply ~batch:true inc undo) in
-          if t < !t_batch then t_batch := t
+          let t, _ = Util.time (fun () -> Incremental.apply inc undo) in
+          if t < !t_inc then t_inc := t
         done;
         let row =
           { label; delta = List.length removes; dirty = !dirty;
-            rechecked = !rechecked; t_inc = !t_inc; t_batch = !t_batch;
+            rechecked = !rechecked; t_inc = !t_inc;
             t_full = !t_full; identical = !identical }
         in
         Printf.printf
-          "%-12s incremental %s (batched %s) vs full %s  (%.1fx; %d dirty, \
-           %d rechecked%s)\n"
+          "%-12s incremental %s vs full %s  (%.1fx; %d dirty, %d \
+           rechecked%s)\n"
           row.label
           (Format.asprintf "%a" Util.pp_seconds row.t_inc)
-          (Format.asprintf "%a" Util.pp_seconds row.t_batch)
           (Format.asprintf "%a" Util.pp_seconds row.t_full)
-          (row.t_full /. row.t_batch) row.dirty row.rechecked
+          (row.t_full /. row.t_inc) row.dirty row.rechecked
           (if row.identical then "" else "; ** MISMATCH vs scratch **");
         row)
       sizes
@@ -185,13 +169,12 @@ let run ~quick =
         \      \"dirty_pairs\": %d,\n\
         \      \"rechecked\": %d,\n\
         \      \"incremental_seconds\": %.6f,\n\
-        \      \"batched_recheck_seconds\": %.6f,\n\
         \      \"full_seconds\": %.6f,\n\
         \      \"speedup\": %.3f,\n\
         \      \"identical\": %b\n\
         \    }%s\n"
-        r.label r.delta r.dirty r.rechecked r.t_inc r.t_batch r.t_full
-        (r.t_full /. r.t_batch) r.identical
+        r.label r.delta r.dirty r.rechecked r.t_inc r.t_full
+        (r.t_full /. r.t_inc) r.identical
         (if i = List.length rows - 1 then "" else ","))
     rows;
   Printf.fprintf oc "  ],\n  \"identical\": %b\n}\n" all_identical;

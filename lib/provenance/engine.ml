@@ -3,8 +3,6 @@ open Shacl
 
 type on_error = [ `Fail | `Skip ]
 
-type kernel = [ `Batched | `Per_node ]
-
 module Stats = struct
   type shape_stat = {
     label : string;
@@ -123,14 +121,16 @@ let requests_of_schema schema = List.map request_of_def (Schema.defs schema)
    graph nodes are kept when they satisfy [tau], matching the unpruned
    candidate set of [Fragment.frag] exactly.  Monotonicity of [tau]
    (Theorem 4.1's precondition, via [Analysis.Monotone]) is required so
-   the pruned fragment keeps the conformance guarantees of Section 4. *)
-let plan ~schema ~all_nodes g r =
+   the pruned fragment keeps the conformance guarantees of Section 4.
+   [by_target] answers the target nodes of [tau] (possibly cached). *)
+let plan ~schema ~all_nodes ~by_target g r =
   match r.target with
   | Some tau when Analysis.Monotone.is_monotone schema tau ->
       let base =
-        match Validate.fast_targets g tau with
-        | Some targets -> targets
-        | None -> Conformance.conforming_nodes schema g tau
+        by_target tau (fun () ->
+            match Validate.fast_targets g tau with
+            | Some targets -> targets
+            | None -> Conformance.conforming_nodes schema g tau)
       in
       let stray_constants =
         Term.Set.filter
@@ -139,6 +139,22 @@ let plan ~schema ~all_nodes g r =
       in
       Term.Set.union base stray_constants, true
   | _ -> Term.Set.union (Lazy.force all_nodes) (Shape.constants r.shape), false
+
+(* Under the optimizer, work keyed by a target expression runs once per
+   distinct target: schemas routinely repeat the same handful of target
+   classes, so planning drops from one target evaluation per request to
+   one per distinct target.  Without it, [compute] runs every time. *)
+let target_cache ~optimize =
+  let cache = ref [] in
+  fun tau compute ->
+    if not optimize then compute ()
+    else
+      match List.find_opt (fun (t, _) -> Shape.equal t tau) !cache with
+      | Some (_, v) -> v
+      | None ->
+          let v = compute () in
+          cache := (tau, v) :: !cache;
+          v
 
 (* ---------------- domain pool -------------------------------------- *)
 
@@ -187,28 +203,30 @@ let spawn_pool ~jobs worker =
 
 (* ---------------- per-worker accumulators --------------------------- *)
 
+(* The unit of work: a slice of one request's candidate array, carrying
+   its offset so per-candidate results land at the right index whichever
+   worker runs it. *)
+type chunk = { req : int; offset : int; nodes : Term.t array }
+
 (* Everything a run accumulates, owned by exactly one domain at a time:
    each pool worker writes only its own record (no lock anywhere on the
    merge path), the calling domain folds the records together once
    after the pool is joined.  Result triples are a bitset over the
    frozen store's canonical SPO row ids — chunk output merges by
    bitwise OR, which is commutative, so the fragment is independent of
-   scheduling by construction.  [extra] catches triples with no row id
-   (only possible when the graph has no store, i.e. it is empty). *)
-type 'item acc = {
+   scheduling by construction. *)
+type acc = {
   bits : Bytes.t;
-  extra : (Triple.t, unit) Hashtbl.t;
   counters : Counters.t;
   conf : int array;
   skip : int array;
   walls : float array;
   mutable checked : int;
-  mutable failed : ('item * exn) list;
+  mutable failed : (chunk * exn) list;
 }
 
 let make_acc ~nrows ~nshapes =
   { bits = Bytes.make ((nrows + 7) / 8) '\000';
-    extra = Hashtbl.create 16;
     counters = Counters.create ();
     conf = Array.make nshapes 0;
     skip = Array.make nshapes 0;
@@ -239,7 +257,6 @@ let fold_accs accs =
     (fun w a ->
       if w > 0 then begin
         or_bits ~into:final.bits a.bits;
-        Hashtbl.iter (fun tr () -> Hashtbl.replace final.extra tr ()) a.extra;
         Counters.add ~into:final.counters a.counters;
         Array.iteri (fun i c -> final.conf.(i) <- final.conf.(i) + c) a.conf;
         Array.iteri (fun i c -> final.skip.(i) <- final.skip.(i) + c) a.skip;
@@ -249,24 +266,174 @@ let fold_accs accs =
     accs;
   final
 
-(* Failed chunks of all workers, restored to arrival order per worker. *)
-let failed_of accs =
-  List.concat_map (fun a -> List.rev a.failed) (Array.to_list accs)
-
-(* Split a candidate array into at most [jobs] balanced chunks.  The
-   split depends only on the array and [jobs], so execution statistics
-   are deterministic for a fixed [-j]. *)
-let chunks_of ~jobs arr =
+(* Split request [i]'s candidate array into at most [jobs] balanced,
+   non-empty chunks.  The split depends only on the array and [jobs],
+   so execution statistics are deterministic for a fixed [-j]. *)
+let chunks_of ~jobs i arr =
   let n = Array.length arr in
   if n = 0 then []
   else
     let k = min jobs n in
     List.init k (fun c ->
         let lo = c * n / k and hi = (c + 1) * n / k in
-        Array.sub arr lo (hi - lo))
-    |> List.filter (fun chunk -> Array.length chunk > 0)
+        { req = i; offset = lo; nodes = Array.sub arr lo (hi - lo) })
 
 let now = Unix.gettimeofday
+
+(* ---------------- fault isolation ---------------------------------- *)
+
+(* Chunks are the engine's isolation unit: a chunk is evaluated into
+   private accumulators that are merged only on success, so a chunk that
+   raises — injected fault, exhausted budget, stack overflow on an
+   adversarial schema — contributes nothing and poisons nothing.  The
+   Sufficiency theorem makes the surviving output meaningful: every
+   neighborhood a completed chunk emitted is independently valid.
+
+   Degradation order on failure:
+   1. the failing chunk is recorded and the pool keeps draining;
+   2. after the pool is joined, each failed chunk is retried once,
+      sequentially, on the calling domain (parallel → sequential
+      degradation) — unless the run's budget is already spent;
+   3. a chunk that fails its retry marks its shape as Failed in the
+      statistics; with [`Skip] the run completes with the healthy
+      shapes' fragments, with [`Fail] the original error is re-raised
+      (after the pool is fully joined and consistent). *)
+
+let probe_sites label =
+  Runtime.Fault.probe "engine.chunk";
+  Runtime.Fault.probe ("shape:" ^ label)
+
+(* ---------------- the driver ---------------------------------------- *)
+
+type outcome = {
+  final : acc;  (* every worker's accumulator, folded *)
+  failures : Runtime.Outcome.reason option array;
+  retries : int;
+}
+
+(* The one driver behind [run] and [validate]: chunk each level's
+   requests, drain the chunks through the domain pool into per-worker
+   accumulators, retry failed chunks sequentially, and fold.  A job
+   supplies only its per-chunk action — [make_worker ()] builds one
+   worker's state (memo table, kernel context) and returns the check
+   it applies to a chunk: given the chunk's fresh counters and row
+   bitset it returns (conforming, skipped) — and its levels, which run
+   in order, each one a full pool; [before_level] runs on the calling
+   domain between them.  After a failure under [`Fail] no further
+   level starts. *)
+let drive ~jobs ~budget ~on_error ~nrows ~labels ~candidates ~levels
+    ?(before_level = fun _ _ -> ()) make_worker =
+  let nshapes = Array.length candidates in
+  let accs = Array.init jobs (fun _ -> make_acc ~nrows ~nshapes) in
+  let failures = Array.make nshapes None in
+  let retries = ref 0 in
+  let first_error = ref None in
+  (* Raises on fault, budget exhaustion, or any crash inside the
+     check; nothing reaches an accumulator until it returns. *)
+  let eval_chunk check c =
+    probe_sites labels.(c.req);
+    Runtime.Budget.check budget;
+    let t = now () in
+    let counters = Counters.create () in
+    let bits = Bytes.make ((nrows + 7) / 8) '\000' in
+    let conforming, skipped = check counters bits c in
+    bits, counters, conforming, skipped, now () -. t
+  in
+  (* Lock-free: [acc] is owned by the calling worker. *)
+  let merge acc c (bits, counters, conforming, skipped, wall) =
+    or_bits ~into:acc.bits bits;
+    Counters.add ~into:acc.counters counters;
+    acc.conf.(c.req) <- acc.conf.(c.req) + conforming;
+    acc.skip.(c.req) <- acc.skip.(c.req) + skipped;
+    acc.walls.(c.req) <- acc.walls.(c.req) +. wall;
+    acc.checked <- acc.checked + Array.length c.nodes
+  in
+  let run_level shapes =
+    before_level failures shapes;
+    let pop =
+      make_queue
+        (List.concat_map (fun i -> chunks_of ~jobs i candidates.(i)) shapes)
+    in
+    spawn_pool ~jobs (fun w ->
+        let acc = accs.(w) and check = make_worker () in
+        let rec drain () =
+          match pop () with
+          | None -> ()
+          | Some c ->
+              (match eval_chunk check c with
+              | result -> merge acc c result
+              | exception e -> acc.failed <- (c, e) :: acc.failed);
+              drain ()
+        in
+        drain ());
+    (* Sequential degradation: retry each failed chunk once on this
+       domain with fresh worker state, unless the budget is already
+       gone — then skip straight to the failure verdict so a timed-out
+       run still returns promptly.  The pool is joined, so this domain
+       owns every accumulator; retried chunks merge into the first. *)
+    let failed =
+      List.concat_map (fun a -> List.rev a.failed) (Array.to_list accs)
+    in
+    Array.iter (fun a -> a.failed <- []) accs;
+    List.iter
+      (fun (c, e) ->
+        let final_failure e =
+          if !first_error = None then first_error := Some e;
+          if failures.(c.req) = None then
+            failures.(c.req) <- Some (Runtime.Outcome.reason_of_exn e)
+        in
+        match Runtime.Budget.expired budget with
+        | Some _ -> final_failure e
+        | None -> (
+            incr retries;
+            match eval_chunk (make_worker ()) c with
+            | result -> merge accs.(0) c result
+            | exception e' -> final_failure e'))
+      failed
+  in
+  List.iter
+    (fun shapes ->
+      if !first_error = None || on_error = `Skip then run_level shapes)
+    levels;
+  (match on_error, !first_error with
+  | `Fail, Some e -> raise e
+  | _ -> ());
+  { final = fold_accs accs; failures; retries = !retries }
+
+let make_stats ~jobs ~t0 ~planning ~st ~triples_emitted ~requests_shared
+    outcome shapes =
+  let final = outcome.final in
+  let totals = final.counters in
+  { Stats.jobs;
+    nodes_checked = final.checked;
+    conforming = Array.fold_left ( + ) 0 final.conf;
+    memo_lookups = totals.Counters.memo_lookups;
+    memo_hits = totals.Counters.memo_hits;
+    memo_misses = totals.Counters.memo_misses;
+    path_evals = totals.Counters.path_evals;
+    path_memo_lookups = totals.Counters.path_memo_lookups;
+    path_memo_hits = totals.Counters.path_memo_hits;
+    path_memo_misses = totals.Counters.path_memo_misses;
+    checks_skipped = Array.fold_left ( + ) 0 final.skip;
+    requests_shared;
+    triples_emitted;
+    retries = outcome.retries;
+    interned_terms = Store.n_terms st;
+    store_lookups = totals.Counters.store_lookups;
+    batch_calls = totals.Counters.batch_calls;
+    batch_sources = totals.Counters.batch_sources;
+    rows_materialized = totals.Counters.rows_materialized;
+    planning;
+    wall = now () -. t0;
+    shapes }
+
+(* Freeze once up front: planning, checking and tracing all run against
+   the interned store, and workers share it read-only. *)
+let frozen g =
+  let g = Graph.freeze g in
+  match Graph.store g with
+  | Some st -> g, st
+  | None -> assert false (* [Graph.freeze] always builds a store *)
 
 (* ---------------- batched priming ----------------------------------- *)
 
@@ -299,45 +466,14 @@ let collect_prime_items pairs =
       (e, Array.of_list (Term.Set.elements set)))
     !order
 
-(* Fill [base] with one batched-kernel evaluation per (path, node set),
-   parallelized over paths: each worker primes into a private base
-   merged after the pool joins (per-(graph, path) tables are disjoint
-   across items, so the merge is a plain union).  Priming charges the
-   budget exactly what per-node evaluation of the same (path, node)
-   pairs would; on exhaustion the phase stops with a partial base and
-   the chunks that needed the missing fuel fail at their own budget
-   checks, as they would have unprimed. *)
-let prime_base ~jobs ~budget ~into_counters base g items =
-  match items with
-  | [] -> ()
-  | _ ->
-      let pop = make_queue items in
-      let n = max 1 jobs in
-      let worker_bases = Array.init n (fun _ -> Path_memo.base_create ()) in
-      let worker_counters = Array.init n (fun _ -> Counters.create ()) in
-      let worker w =
-        let wb = worker_bases.(w) and wc = worker_counters.(w) in
-        let rec drain () =
-          match pop () with
-          | None -> ()
-          | Some (e, nodes) ->
-              Path_memo.prime ~counters:wc wb budget g e nodes;
-              drain ()
-        in
-        try drain () with Runtime.Budget.Exhausted _ -> ()
-      in
-      spawn_pool ~jobs:n worker;
-      Array.iter (fun wb -> Path_memo.base_merge ~into:base wb) worker_bases;
-      Array.iter
-        (fun wc -> Counters.add ~into:into_counters wc)
-        worker_counters
-
-(* Id-space priming for the rows pipeline: the same (path, node set)
-   items, evaluated in per-worker kernel contexts whose memos are then
-   exported into one shared read-only [Rdf.Path.Batch.base].  Worker
-   contexts adopt primed entries on first touch and replay their
+(* Fill [base] with one set-at-a-time kernel pass per (path, node set),
+   parallelized over paths: per-worker kernel contexts whose memos are
+   then exported into one shared read-only [Rdf.Path.Batch.base].
+   Worker contexts adopt primed entries on first touch and replay their
    recorded charges, so budget and counter totals stay exactly what
-   per-node evaluation of the same pairs would have charged.  Stray
+   per-node evaluation of the same pairs would have charged.  On budget
+   exhaustion the phase stops with a partial base and the chunks that
+   needed the missing fuel fail at their own budget checks.  Stray
    nodes the dictionary has never seen are left to the checkers'
    per-node fallback. *)
 let prime_row_base ~jobs ~budget ~into_counters base st items =
@@ -345,11 +481,10 @@ let prime_row_base ~jobs ~budget ~into_counters base st items =
   | [] -> ()
   | _ ->
       let pop = make_queue items in
-      let n = max 1 jobs in
       let worker_bases =
-        Array.init n (fun _ -> Rdf.Path.Batch.base_create ())
+        Array.init jobs (fun _ -> Rdf.Path.Batch.base_create ())
       in
-      let worker_counters = Array.init n (fun _ -> Counters.create ()) in
+      let worker_counters = Array.init jobs (fun _ -> Counters.create ()) in
       let worker w =
         let wc = worker_counters.(w) in
         let step =
@@ -388,7 +523,7 @@ let prime_row_base ~jobs ~budget ~into_counters base st items =
         (try drain () with Runtime.Budget.Exhausted _ -> ());
         Rdf.Path.Batch.export ctx ~into:worker_bases.(w)
       in
-      spawn_pool ~jobs:n worker;
+      spawn_pool ~jobs worker;
       Array.iter
         (fun wb -> Rdf.Path.Batch.base_merge ~into:base wb)
         worker_bases;
@@ -396,73 +531,18 @@ let prime_row_base ~jobs ~budget ~into_counters base st items =
         (fun wc -> Counters.add ~into:into_counters wc)
         worker_counters
 
-(* ---------------- fault isolation ---------------------------------- *)
-
-(* Chunks are the engine's isolation unit: a chunk is evaluated into
-   private accumulators that are merged only on success, so a chunk that
-   raises — injected fault, exhausted budget, stack overflow on an
-   adversarial schema — contributes nothing and poisons nothing.  The
-   Sufficiency theorem makes the surviving output meaningful: every
-   neighborhood a completed chunk emitted is independently valid.
-
-   Degradation order on failure:
-   1. the failing chunk is recorded and the pool keeps draining;
-   2. after the pool is joined, each failed chunk is retried once,
-      sequentially, on the calling domain (parallel → sequential
-      degradation) — unless the run's budget is already spent;
-   3. a chunk that fails its retry marks its shape as Failed in the
-      statistics; with [`Skip] the run completes with the healthy
-      shapes' fragments, with [`Fail] the original error is re-raised
-      (after the pool is fully joined and consistent). *)
-
-let probe_sites label =
-  Runtime.Fault.probe "engine.chunk";
-  Runtime.Fault.probe ("shape:" ^ label)
-
 (* ---------------- fragment extraction ------------------------------ *)
 
-let run ?(schema = Schema.empty) ?(algorithm = Fragment.Instrumented)
-    ?(jobs = 1) ?(budget = Runtime.Budget.unlimited) ?(on_error = `Fail)
-    ?(optimize = false) ?(kernel = `Batched) ?restrict g requests =
+let run ?(schema = Schema.empty) ?(jobs = 1)
+    ?(budget = Runtime.Budget.unlimited) ?(on_error = `Fail)
+    ?(optimize = false) ?restrict g requests =
   let jobs = max 1 jobs in
   let t0 = now () in
-  (* Freeze once up front: planning, checking and tracing all run
-     against the interned store, and workers share it read-only. *)
-  let g = Graph.freeze g in
-  let store = Graph.store g in
-  let nrows = match store with Some st -> Store.n_triples st | None -> 0 in
+  let g, st = frozen g in
+  let nrows = Store.n_triples st in
   let all_nodes = lazy (Graph.nodes g) in
-  (* Under the optimizer, requests with equal target expressions share
-     one base candidate computation (the stray-constant adjustment is
-     per-request and cheap).  Schema requests routinely repeat the same
-     handful of target classes, so this cuts planning from one target
-     evaluation per request to one per distinct target. *)
-  let base_cache : (Shape.t * Term.Set.t) list ref = ref [] in
-  let plan_cached r =
-    match r.target with
-    | Some tau when optimize && Analysis.Monotone.is_monotone schema tau -> (
-        let base =
-          match
-            List.find_opt (fun (t, _) -> Shape.equal t tau) !base_cache
-          with
-          | Some (_, base) -> base
-          | None ->
-              let base =
-                match Validate.fast_targets g tau with
-                | Some targets -> targets
-                | None -> Conformance.conforming_nodes schema g tau
-              in
-              base_cache := (tau, base) :: !base_cache;
-              base
-        in
-        let stray_constants =
-          Term.Set.filter
-            (fun c -> Conformance.conforms schema g c tau)
-            (Shape.constants r.shape)
-        in
-        Term.Set.union base stray_constants, true)
-    | _ -> plan ~schema ~all_nodes g r
-  in
+  (* the stray-constant adjustment stays per request: it is cheap *)
+  let by_target = target_cache ~optimize in
   (* [restrict] narrows the *candidate* set, not the graph: each kept
      candidate is still checked against the whole graph, so a shard
      worker's answer is exact over the nodes it owns and the union over
@@ -473,7 +553,7 @@ let run ?(schema = Schema.empty) ?(algorithm = Fragment.Instrumented)
   let plans =
     List.map
       (fun r ->
-        let candidates, pruned = plan_cached r in
+        let candidates, pruned = plan ~schema ~all_nodes ~by_target g r in
         ( r,
           Array.of_list (restrict_list (Term.Set.elements candidates)),
           pruned ))
@@ -481,6 +561,7 @@ let run ?(schema = Schema.empty) ?(algorithm = Fragment.Instrumented)
   in
   let shapes = Array.of_list (List.map (fun (r, _, _) -> r.shape) plans) in
   let labels = Array.of_list (List.map (fun (r, _, _) -> r.label) plans) in
+  let candidates = Array.of_list (List.map (fun (_, c, _) -> c) plans) in
   let nshapes = Array.length shapes in
   (* Request sharing: two requests whose shapes are structurally equal
      after reference resolution and NNF drive the checker identically —
@@ -503,252 +584,72 @@ let run ?(schema = Schema.empty) ?(algorithm = Fragment.Instrumented)
       shared_of.(i) <- find 0
     done
   end;
+  let evaluated =
+    List.filter (fun i -> shared_of.(i) = None) (List.init nshapes Fun.id)
+  in
   let planning = now () -. t0 in
-  (* Batched kernel: evaluate each distinct (path, candidate set) of the
-     planned shapes once, set-at-a-time, into a read-only base shared by
-     every worker's memo table.  The per-chunk tables created over it
-     keep chunk statistics scheduling-independent, unlike the
-     per-worker tables of [~optimize]. *)
+  (* Evaluate each distinct (path, candidate set) of the planned shapes
+     once, set-at-a-time, into the kernel's id-space base shared by
+     every worker's context. *)
   let prime_counters = Counters.create () in
-  let use_rows =
-    kernel = `Batched && store <> None && algorithm = Fragment.Instrumented
-  in
-  let prime_items () =
-    let pairs =
-      List.mapi
-        (fun i (_, candidates, _) ->
-          if shared_of.(i) <> None then ([], [||])
-          else (Conformance.focus_paths schema shapes.(i), candidates))
-        plans
+  let row_base = Rdf.Path.Batch.base_create () in
+  prime_row_base ~jobs ~budget ~into_counters:prime_counters row_base st
+    (collect_prime_items
+       (List.map
+          (fun i -> (Conformance.focus_paths schema shapes.(i), candidates.(i)))
+          evaluated));
+  (* One worker's state: under the optimizer a [Path_memo] table shared
+     across every chunk — and so across shapes — the worker drains,
+     never across domains; and one id-space kernel context per worker
+     whose lookup hook charges whichever chunk's counters are current.
+     Kernel memo hits replay the recorded charges, so per-chunk
+     statistics are identical whether an entry was computed in this
+     chunk, an earlier one, or the priming phase.  Row neighborhoods OR
+     straight into the chunk bitset — no [Graph.t] is materialized on
+     the hot path. *)
+  let make_worker () =
+    let path_memo = if optimize then Some (Path_memo.create ()) else None in
+    let cur = ref (Counters.create ()) in
+    let env =
+      Neighborhood.row_env ~budget
+        ~lookup:(fun () ->
+          !cur.Counters.store_lookups <- !cur.Counters.store_lookups + 1)
+        ~lookup_n:(fun k ->
+          !cur.Counters.store_lookups <- !cur.Counters.store_lookups + k)
+        ~base:row_base g
     in
-    collect_prime_items pairs
-  in
-  (* The rows pipeline primes straight into the kernel's id-space base;
-     the per-node pipelines (naive algorithm, or a graph that was never
-     frozen) prime a term-space [Path_memo] base instead. *)
-  let row_base =
-    match use_rows, store with
-    | true, Some st ->
-        let b = Rdf.Path.Batch.base_create () in
-        prime_row_base ~jobs ~budget ~into_counters:prime_counters b st
-          (prime_items ());
-        Some b
-    | _ -> None
-  in
-  let base =
-    match kernel, store with
-    | `Batched, Some _ when not use_rows ->
-        let b = Path_memo.base_create () in
-        prime_base ~jobs ~budget ~into_counters:prime_counters b g
-          (prime_items ());
-        Some b
-    | _ -> None
-  in
-  let items =
-    List.concat
-      (List.mapi
-         (fun i (_, candidates, _) ->
-           if shared_of.(i) <> None then []
-           else List.map (fun chunk -> i, chunk) (chunks_of ~jobs candidates))
-         plans)
-  in
-  let pop = make_queue items in
-  (* One accumulator per worker: the hot path merges chunk results into
-     the worker's own record without taking any lock; the records are
-     folded together once after the pool is joined. *)
-  let accs = Array.init jobs (fun _ -> make_acc ~nrows ~nshapes) in
-  let retries = ref 0 in
-  let failures : Runtime.Outcome.reason option array = Array.make nshapes None in
-  (* Evaluate one chunk into private accumulators; raises on fault,
-     budget exhaustion, or any crash inside shape evaluation.  Emitted
-     triples become bits in a chunk-local row bitset: a neighborhood is
-     a subgraph of [g], so on a frozen graph every triple has a row. *)
-  let eval_chunk ?path_memo ?env_for (i, chunk) =
-    probe_sites labels.(i);
-    Runtime.Budget.check budget;
-    let t = now () in
-    let bits = Bytes.make ((nrows + 7) / 8) '\000' in
-    let extra = ref [] in
-    let mark tr =
-      match store with
-      | Some st -> (
-          match Store.row_of_triple st tr with
-          | Some r -> set_bit bits r
-          | None -> extra := tr :: !extra)
-      | None -> extra := tr :: !extra
-    in
-    let counters = Counters.create () in
-    let conforming = ref 0 in
-    (if use_rows then begin
-       (* row neighborhoods OR straight into the chunk bitset — no
-          [Graph.t] is ever materialized on the hot path.  [env_for]
-          retargets the worker's shared kernel context at this chunk's
-          counters; kernel memo hits replay the recorded charges, so
-          per-chunk statistics are identical whether an entry was
-          computed in this chunk, an earlier one, or the priming
-          phase. *)
-       let env =
-         match env_for with
-         | Some f -> f counters
-         | None -> Neighborhood.row_env ~budget ~counters ?base:row_base g
-       in
-       let check =
-         Neighborhood.row_checker ~counters ~budget ~schema ?path_memo ~env g
-           shapes.(i)
-       in
-       Array.iter
-         (fun v ->
-           let conforms, rows = check v in
-           if conforms then begin
-             incr conforming;
-             Array.iter (fun r -> set_bit bits r) rows
-           end)
-         chunk
-     end
-     else begin
-       let check =
-         match algorithm with
-         | Fragment.Instrumented ->
-             Neighborhood.checker ~counters ~budget ~schema ?path_memo g
-               shapes.(i)
-         | Fragment.Naive ->
-             Neighborhood.naive_checker ~counters ~budget ~schema ?path_memo g
-               shapes.(i)
-       in
-       Array.iter
-         (fun v ->
-           let conforms, neighborhood = check v in
-           if conforms then begin
-             incr conforming;
-             Graph.iter mark neighborhood
-           end)
-         chunk
-     end);
-    bits, !extra, counters, !conforming, Array.length chunk, now () -. t
-  in
-  (* Lock-free: [acc] is owned by the calling worker. *)
-  let merge acc (i, _chunk)
-      (bits, extra, counters, chunk_conforming, chunk_checked, wall) =
-    or_bits ~into:acc.bits bits;
-    List.iter (fun tr -> Hashtbl.replace acc.extra tr ()) extra;
-    Counters.add ~into:acc.counters counters;
-    acc.conf.(i) <- acc.conf.(i) + chunk_conforming;
-    acc.walls.(i) <- acc.walls.(i) +. wall;
-    acc.checked <- acc.checked + chunk_checked
-  in
-  (* Memo policy: under the optimizer one table per worker domain,
-     shared across every chunk — and so across shapes — that worker
-     processes, never across domains.  Under the batched kernel alone,
-     one table {e per chunk} over the shared primed base: chunk-level
-     counters then do not depend on which worker drained which chunk,
-     preserving the fixed-[-j] determinism of the statistics. *)
-  let worker_memo () =
-    if optimize then Some (Path_memo.create ?base ()) else None
-  in
-  let chunk_memo worker_memo =
-    match worker_memo with
-    | Some _ -> worker_memo
-    | None -> (
-        match base with
-        | Some _ -> Some (Path_memo.create ?base ())
-        | None -> None)
-  in
-  let worker w =
-    let acc = accs.(w) in
-    let worker_memo = worker_memo () in
-    (* one id-space kernel context per worker, shared across every chunk
-       — and shape — it drains; the lookup hook charges whichever
-       chunk's counters are current *)
-    let env_for =
-      match use_rows, store with
-      | true, Some st ->
-          ignore st;
-          let cur = ref None in
-          let env =
-            Neighborhood.row_env ~budget
-              ~lookup:(fun () ->
-                match !cur with
-                | Some c ->
-                    c.Counters.store_lookups <- c.Counters.store_lookups + 1
-                | None -> ())
-              ~lookup_n:(fun k ->
-                match !cur with
-                | Some c ->
-                    c.Counters.store_lookups <- c.Counters.store_lookups + k
-                | None -> ())
-              ?base:row_base g
-          in
-          Some
-            (fun counters ->
-              cur := Some counters;
-              env)
-      | _ -> None
-    in
-    let rec drain () =
-      match pop () with
-      | None -> ()
-      | Some item ->
-          (match eval_chunk ?path_memo:(chunk_memo worker_memo) ?env_for item
-           with
-          | result -> merge acc item result
-          | exception e -> acc.failed <- (item, e) :: acc.failed);
-          drain ()
-    in
-    drain ()
-  in
-  spawn_pool ~jobs worker;
-  (* Sequential degradation: retry each failed chunk once on this domain
-     (faults may be transient; a fresh memo table also helps after an
-     overflow), unless the budget is already gone — then skip straight
-     to the failure verdict so a timed-out run still returns promptly.
-     The pool is joined, so this domain owns every accumulator; retried
-     chunks merge into the first. *)
-  let first_error = ref None in
-  List.iter
-    (fun (((i, _) as item), e) ->
-      let final_failure e =
-        if !first_error = None then first_error := Some e;
-        if failures.(i) = None then
-          failures.(i) <- Some (Runtime.Outcome.reason_of_exn e)
+    fun counters bits c ->
+      cur := counters;
+      let check =
+        Neighborhood.row_checker ~counters ~budget ~schema ?path_memo ~env g
+          shapes.(c.req)
       in
-      match Runtime.Budget.expired budget with
-      | Some _ -> final_failure e
-      | None -> (
-          incr retries;
-          match eval_chunk ?path_memo:(chunk_memo (worker_memo ())) item with
-          | result -> merge accs.(0) item result
-          | exception e' -> final_failure e'))
-    (failed_of accs);
-  (match on_error, !first_error with
-  | `Fail, Some e -> raise e
-  | _ -> ());
-  let final = fold_accs accs in
-  Counters.add ~into:final.counters prime_counters;
-  let totals = final.counters in
-  let conforming = final.conf in
-  let walls = final.walls in
-  let checked = ref final.checked in
+      let conforming = ref 0 in
+      Array.iter
+        (fun v ->
+          let conforms, rows = check v in
+          if conforms then begin
+            incr conforming;
+            Array.iter (fun r -> set_bit bits r) rows
+          end)
+        c.nodes;
+      !conforming, 0
+  in
+  let outcome =
+    drive ~jobs ~budget ~on_error ~nrows ~labels ~candidates
+      ~levels:[ evaluated ] make_worker
+  in
+  Counters.add ~into:outcome.final.counters prime_counters;
   (* The fragment is decoded from the merged bitset in ascending row
      order — canonical SPO order, independent of scheduling. *)
   let emitted = ref 0 in
-  let fragment =
-    let frag = ref Graph.empty in
-    (match store with
-    | Some st ->
-        for r = 0 to nrows - 1 do
-          if get_bit final.bits r then begin
-            incr emitted;
-            frag := Graph.add_triple (Store.row_triple st r) !frag
-          end
-        done
-    | None -> ());
-    Hashtbl.iter
-      (fun tr () ->
-        incr emitted;
-        frag := Graph.add_triple tr !frag)
-      final.extra;
-    !frag
-  in
+  let fragment = ref Graph.empty in
+  for r = 0 to nrows - 1 do
+    if get_bit outcome.final.bits r then begin
+      incr emitted;
+      fragment := Graph.add_triple (Store.row_triple st r) !fragment
+    end
+  done;
   let shape_stats =
     List.mapi
       (fun i (r, candidates, pruned) ->
@@ -767,120 +668,71 @@ let run ?(schema = Schema.empty) ?(algorithm = Fragment.Instrumented)
             { Stats.label = r.label;
               pruned;
               candidates = Array.length candidates;
-              conforming = conforming.(i);
-              wall = walls.(i);
-              failed = failures.(i);
+              conforming = outcome.final.conf.(i);
+              wall = outcome.final.walls.(i);
+              failed = outcome.failures.(i);
               skipped = 0;
               shared_with = None })
       plans
   in
-  let requests_shared =
-    Array.fold_left
-      (fun acc s -> if s <> None then acc + 1 else acc)
-      0 shared_of
-  in
-  let stats =
-    { Stats.jobs;
-      nodes_checked = !checked;
-      conforming = Array.fold_left ( + ) 0 conforming;
-      memo_lookups = totals.Counters.memo_lookups;
-      memo_hits = totals.Counters.memo_hits;
-      memo_misses = totals.Counters.memo_misses;
-      path_evals = totals.Counters.path_evals;
-      path_memo_lookups = totals.Counters.path_memo_lookups;
-      path_memo_hits = totals.Counters.path_memo_hits;
-      path_memo_misses = totals.Counters.path_memo_misses;
-      checks_skipped = 0;
-      requests_shared;
-      triples_emitted = !emitted;
-      retries = !retries;
-      interned_terms = (match store with Some st -> Store.n_terms st | None -> 0);
-      store_lookups = totals.Counters.store_lookups;
-      batch_calls = totals.Counters.batch_calls;
-      batch_sources = totals.Counters.batch_sources;
-      rows_materialized = totals.Counters.rows_materialized;
-      planning;
-      wall = now () -. t0;
-      shapes = shape_stats }
-  in
-  fragment, stats
+  let requests_shared = nshapes - List.length evaluated in
+  ( !fragment,
+    make_stats ~jobs ~t0 ~planning ~st ~triples_emitted:!emitted
+      ~requests_shared outcome shape_stats )
 
-let fragment ?schema ?algorithm ?jobs g shapes =
-  fst (run ?schema ?algorithm ?jobs g (List.map request shapes))
+let fragment ?schema ?jobs g shapes =
+  fst (run ?schema ?jobs g (List.map request shapes))
 
-let fragment_schema ?algorithm ?jobs schema g =
-  fst (run ~schema ?algorithm ?jobs g (requests_of_schema schema))
+let fragment_schema ?jobs schema g =
+  fst (run ~schema ?jobs g (requests_of_schema schema))
 
 (* ---------------- validation --------------------------------------- *)
 
 let validate ?(jobs = 1) ?(budget = Runtime.Budget.unlimited)
-    ?(on_error = `Fail) ?(optimize = false) ?(kernel = `Batched) ?restrict
-    schema g =
+    ?(on_error = `Fail) ?(optimize = false) ?restrict schema g =
   let jobs = max 1 jobs in
   let t0 = now () in
-  let g = Graph.freeze g in
-  let store = Graph.store g in
+  let g, st = frozen g in
   (* The containment plan is static — graph-independent — and its cost
      is accounted as planning time. *)
   let plan_opt = if optimize then Some (Plan.make schema) else None in
-  let defs = Schema.defs schema in
   (* Under the optimizer, defs with equal target expressions share one
-     candidate array: the (often expensive) target evaluation runs once
-     per distinct target, and downstream the physical sharing lets the
-     skip rule compare verdicts by index instead of by node lookup. *)
-  let target_cache : (Shape.t * Term.t array) list ref = ref [] in
+     candidate array, and downstream the physical sharing lets the skip
+     rule compare verdicts by index instead of by node lookup. *)
+  let by_target = target_cache ~optimize in
   let targets_of (def : Schema.def) =
-    let compute () =
-      (* same contract as [run]: owned targets only, checked against the
-         whole graph — the restriction is constant for the run, so the
-         dedup cache below stays valid *)
-      let nodes = Term.Set.elements (Validate.target_nodes schema g def) in
-      let nodes =
-        match restrict with None -> nodes | Some keep -> List.filter keep nodes
-      in
-      Array.of_list nodes
-    in
-    if not optimize then compute ()
-    else
-      match
-        List.find_opt (fun (t, _) -> Shape.equal t def.target) !target_cache
-      with
-      | Some (_, arr) -> arr
-      | None ->
-          let arr = compute () in
-          target_cache := (def.target, arr) :: !target_cache;
-          arr
+    by_target def.target (fun () ->
+        (* same contract as [run]: owned targets only, checked against
+           the whole graph — the restriction is constant for the run, so
+           the dedup cache stays valid *)
+        let nodes = Term.Set.elements (Validate.target_nodes schema g def) in
+        let nodes =
+          match restrict with
+          | None -> nodes
+          | Some keep -> List.filter keep nodes
+        in
+        Array.of_list nodes)
   in
-  let plans =
-    List.map (fun (def : Schema.def) -> def, targets_of def) defs
-  in
+  let defs = Array.of_list (Schema.defs schema) in
+  let candidates = Array.map targets_of defs in
   let planning = now () -. t0 in
-  let plans_arr = Array.of_list plans in
-  let ndefs = Array.length plans_arr in
+  let ndefs = Array.length defs in
   let verdicts =
-    Array.map (fun (_, targets) -> Array.make (Array.length targets) false)
-      plans_arr
+    Array.map (fun targets -> Array.make (Array.length targets) false)
+      candidates
   in
-  (* Execution levels.  Without the optimizer everything is one level —
-     one pool, one queue, exactly the previous engine.  With it, defs
-     run in the plan's layers so that when a proven [A ⊑ B] schedules
-     [A] first, [B]'s checks are skipped on nodes already proven
-     [A]-conformant. *)
+  (* Execution levels.  Without the optimizer everything is one level.
+     With it, defs run in the plan's layers so that when a proven
+     [A ⊑ B] schedules [A] first, [B]'s checks are skipped on nodes
+     already proven [A]-conformant. *)
+  let all = List.init ndefs Fun.id in
   let levels =
     match plan_opt with
-    | None -> [ List.init ndefs Fun.id ]
+    | None -> [ all ]
     | Some p ->
         List.init (Plan.n_levels p) (fun l ->
-            List.filter
-              (fun i -> p.Plan.levels.(i) = l)
-              (List.init ndefs Fun.id))
+            List.filter (fun i -> p.Plan.levels.(i) = l) all)
   in
-  (* One accumulator per worker, reused across levels: between levels
-     only the calling domain runs, and within a level each worker
-     touches only its own record — no lock on the merge path. *)
-  let accs = Array.init jobs (fun _ -> make_acc ~nrows:0 ~nshapes:ndefs) in
-  let retries = ref 0 in
-  let failures : Runtime.Outcome.reason option array = Array.make ndefs None in
   (* Skip sources for each def, rebuilt before its level runs: the
      verdict arrays of proven-contained predecessors that share this
      def's (deduped) target array.  Sharing makes the per-candidate
@@ -892,186 +744,65 @@ let validate ?(jobs = 1) ?(budget = Runtime.Budget.unlimited)
      hashing whole conforming sets; the bookkeeping costs more than the
      checks it saves. *)
   let skip_idx : bool array list array = Array.make ndefs [] in
-  let label_of i =
-    let (def : Schema.def), _ = plans_arr.(i) in
-    Term.to_string def.Schema.name
-  in
-  (* Batched kernel: one shared base filled level by level — each
-     level's (shape focus-path × target array) pairs are primed
-     set-at-a-time just before the level runs, and already-primed
-     (path, node) entries are skipped, so deduped targets across levels
-     cost nothing twice. *)
-  let prime_counters = Counters.create () in
-  let base =
-    match kernel, store with
-    | `Batched, Some _ -> Some (Path_memo.base_create ())
-    | _ -> None
-  in
-  (* At [-j 1] everything runs on this domain, so one table can serve
-     the whole run; parallel workers each build their own per level. *)
-  let solo_memo =
-    if optimize && jobs <= 1 then Some (Path_memo.create ?base ()) else None
-  in
-  (* Verdict writes go to disjoint slices of [verdicts], so they need no
-     lock; a failed chunk's partial writes are harmless because a failed
-     definition is dropped from the report wholesale. *)
-  let eval_chunk ?path_memo (i, offset, chunk) =
-    probe_sites (label_of i);
-    Runtime.Budget.check budget;
-    let t = now () in
-    let def, _ = plans_arr.(i) in
-    let counters = Counters.create () in
-    let by_index = skip_idx.(i) in
-    let check =
-      Conformance.checker ~counters ~budget ?path_memo schema g
-        def.Schema.shape
-    in
-    let conforming = ref 0 in
-    let chunk_skipped = ref 0 in
-    Array.iteri
-      (fun j v ->
-        (* a node proven conformant to a contained shape is conformant *)
-        let skip =
-          match by_index with
-          | [] -> false
-          | l -> List.exists (fun va -> va.(offset + j)) l
-        in
-        let ok =
-          if skip then begin
-            incr chunk_skipped;
-            true
-          end
-          else check v
-        in
-        if ok then incr conforming;
-        verdicts.(i).(offset + j) <- ok)
-      chunk;
-    counters, !conforming, !chunk_skipped, Array.length chunk, now () -. t
-  in
-  let merge acc (i, _, _)
-      (counters, chunk_conforming, chunk_skipped, chunk_checked, wall) =
-    Counters.add ~into:acc.counters counters;
-    acc.conf.(i) <- acc.conf.(i) + chunk_conforming;
-    acc.skip.(i) <- acc.skip.(i) + chunk_skipped;
-    acc.walls.(i) <- acc.walls.(i) +. wall;
-    acc.checked <- acc.checked + chunk_checked
-  in
-  let first_error = ref None in
-  let run_level level_defs =
-    (match base with
-    | Some b ->
-        let pairs =
-          List.map
-            (fun i ->
-              let (def : Schema.def), targets = plans_arr.(i) in
-              (Conformance.focus_paths schema def.Schema.shape, targets))
-            level_defs
-        in
-        prime_base ~jobs ~budget ~into_counters:prime_counters b g
-          (collect_prime_items pairs)
-    | None -> ());
-    (* Skip sets for this level: the union of the conforming targets of
-       every proven-contained def that completed in an earlier level. *)
-    (match plan_opt with
+  let before_level failures level_defs =
+    match plan_opt with
     | None -> ()
     | Some p ->
         List.iter
           (fun j ->
-            let _, tj = plans_arr.(j) in
             skip_idx.(j) <-
               List.filter_map
                 (fun i ->
-                  let _, ti = plans_arr.(i) in
                   (* a failed predecessor's verdicts are incomplete *)
-                  if ti == tj && failures.(i) = None then
-                    Some verdicts.(i)
+                  if candidates.(i) == candidates.(j) && failures.(i) = None
+                  then Some verdicts.(i)
                   else None)
                 p.Plan.skip_preds.(j))
-          level_defs);
-    let items =
-      List.concat_map
-        (fun i ->
-          let _, targets = plans_arr.(i) in
-          (* chunks carry their offset so verdicts land at the right
-             index regardless of which worker runs them *)
-          let n = Array.length targets in
-          if n = 0 then []
-          else
-            let k = min jobs n in
-            List.init k (fun c ->
-                let lo = c * n / k and hi = (c + 1) * n / k in
-                i, lo, Array.sub targets lo (hi - lo))
-            |> List.filter (fun (_, _, chunk) -> Array.length chunk > 0))
-        level_defs
-    in
-    let pop = make_queue items in
-    (* Same memo policy as [run]: per-worker tables under the optimizer
-       (the solo table at -j 1), per-chunk tables over the primed base
-       under the batched kernel alone. *)
-    let worker_memo () =
+          level_defs
+  in
+  (* Under the optimizer workers share path evaluations through a
+     [Path_memo] table; at [-j 1] everything runs on this domain, so one
+     table serves the whole run across levels. *)
+  let solo_memo =
+    if optimize && jobs <= 1 then Some (Path_memo.create ()) else None
+  in
+  (* Verdict writes go to disjoint slices of [verdicts], so they need no
+     lock; a failed chunk's partial writes are harmless because a failed
+     definition is dropped from the report wholesale. *)
+  let make_worker () =
+    let path_memo =
       match solo_memo with
       | Some _ -> solo_memo
-      | None -> if optimize then Some (Path_memo.create ?base ()) else None
+      | None -> if optimize then Some (Path_memo.create ()) else None
     in
-    let chunk_memo worker_memo =
-      match worker_memo with
-      | Some _ -> worker_memo
-      | None -> (
-          match base with
-          | Some _ -> Some (Path_memo.create ?base ())
-          | None -> None)
-    in
-    let worker w =
-      let acc = accs.(w) in
-      let worker_memo = worker_memo () in
-      let rec drain () =
-        match pop () with
-        | None -> ()
-        | Some item ->
-            (match eval_chunk ?path_memo:(chunk_memo worker_memo) item with
-            | result -> merge acc item result
-            | exception e -> acc.failed <- (item, e) :: acc.failed);
-            drain ()
+    fun counters _bits c ->
+      let check =
+        Conformance.checker ~counters ~budget ?path_memo schema g
+          defs.(c.req).Schema.shape
       in
-      drain ()
-    in
-    spawn_pool ~jobs worker;
-    let failed_chunks = failed_of accs in
-    Array.iter (fun a -> a.failed <- []) accs;
-    List.iter
-      (fun (((i, _, _) as item), e) ->
-        let final_failure e =
-          if !first_error = None then first_error := Some e;
-          if failures.(i) = None then
-            failures.(i) <- Some (Runtime.Outcome.reason_of_exn e)
-        in
-        match Runtime.Budget.expired budget with
-        | Some _ -> final_failure e
-        | None -> (
-            incr retries;
-            let path_memo =
-              if optimize then Some (Path_memo.create ?base ())
-              else chunk_memo None
-            in
-            match eval_chunk ?path_memo item with
-            | result -> merge accs.(0) item result
-            | exception e' -> final_failure e'))
-      failed_chunks
+      let skips = skip_idx.(c.req) in
+      let conforming = ref 0 and skipped = ref 0 in
+      Array.iteri
+        (fun j v ->
+          let k = c.offset + j in
+          (* a node proven conformant to a contained shape is conformant *)
+          let ok =
+            if List.exists (fun va -> va.(k)) skips then begin
+              incr skipped;
+              true
+            end
+            else check v
+          in
+          if ok then incr conforming;
+          verdicts.(c.req).(k) <- ok)
+        c.nodes;
+      !conforming, !skipped
   in
-  List.iter
-    (fun level_defs ->
-      if !first_error = None || on_error = `Skip then run_level level_defs)
-    levels;
-  (match on_error, !first_error with
-  | `Fail, Some e -> raise e
-  | _ -> ());
-  let final = fold_accs accs in
-  Counters.add ~into:final.counters prime_counters;
-  let totals = final.counters in
-  let conforming = final.conf in
-  let skipped = final.skip in
-  let walls = final.walls in
-  let checked = ref final.checked in
+  let labels = Array.map (fun (d : Schema.def) -> Term.to_string d.name) defs in
+  let outcome =
+    drive ~jobs ~budget ~on_error ~nrows:0 ~labels ~candidates ~levels
+      ~before_level make_worker
+  in
   (* Assemble results exactly as the sequential [Validate.validate] does:
      per definition, a [Term.Set.fold] pushing to the front — i.e. each
      definition's results in descending node order.  Definitions whose
@@ -1079,22 +810,20 @@ let validate ?(jobs = 1) ?(budget = Runtime.Budget.unlimited)
      the definitions that were fully checked. *)
   let results =
     List.concat
-      (List.mapi
-         (fun i ((def : Schema.def), targets) ->
-           if failures.(i) <> None then []
+      (List.init ndefs (fun i ->
+           if outcome.failures.(i) <> None then []
            else begin
              let acc = ref [] in
              Array.iteri
                (fun j focus ->
                  acc :=
                    { Validate.focus;
-                     shape_name = def.name;
+                     shape_name = defs.(i).name;
                      conforms = verdicts.(i).(j) }
                    :: !acc)
-               targets;
+               candidates.(i);
              !acc
-           end)
-         plans)
+           end))
   in
   let report =
     { Validate.conforms =
@@ -1102,40 +831,16 @@ let validate ?(jobs = 1) ?(budget = Runtime.Budget.unlimited)
       results }
   in
   let shape_stats =
-    List.mapi
-      (fun i ((def : Schema.def), targets) ->
-        { Stats.label = Term.to_string def.name;
+    List.init ndefs (fun i ->
+        { Stats.label = labels.(i);
           pruned = true;
-          candidates = Array.length targets;
-          conforming = conforming.(i);
-          wall = walls.(i);
-          failed = failures.(i);
-          skipped = skipped.(i);
+          candidates = Array.length candidates.(i);
+          conforming = outcome.final.conf.(i);
+          wall = outcome.final.walls.(i);
+          failed = outcome.failures.(i);
+          skipped = outcome.final.skip.(i);
           shared_with = None })
-      plans
   in
-  let stats =
-    { Stats.jobs;
-      nodes_checked = !checked;
-      conforming = Array.fold_left ( + ) 0 conforming;
-      memo_lookups = totals.Counters.memo_lookups;
-      memo_hits = totals.Counters.memo_hits;
-      memo_misses = totals.Counters.memo_misses;
-      path_evals = totals.Counters.path_evals;
-      path_memo_lookups = totals.Counters.path_memo_lookups;
-      path_memo_hits = totals.Counters.path_memo_hits;
-      path_memo_misses = totals.Counters.path_memo_misses;
-      checks_skipped = Array.fold_left ( + ) 0 skipped;
-      requests_shared = 0;
-      triples_emitted = 0;
-      retries = !retries;
-      interned_terms = (match store with Some st -> Store.n_terms st | None -> 0);
-      store_lookups = totals.Counters.store_lookups;
-      batch_calls = totals.Counters.batch_calls;
-      batch_sources = totals.Counters.batch_sources;
-      rows_materialized = totals.Counters.rows_materialized;
-      planning;
-      wall = now () -. t0;
-      shapes = shape_stats }
-  in
-  report, stats
+  ( report,
+    make_stats ~jobs ~t0 ~planning ~st ~triples_emitted:0 ~requests_shared:0
+      outcome shape_stats )

@@ -17,13 +17,24 @@
        exactly as {!Fragment.frag} does.}
     {- {b Sharding.}  Candidates are split into per-shape chunks and
        distributed over a pool of [jobs] domains pulling from a
-       mutex-protected work queue.  Each chunk is checked with its own
-       instrumented {!Neighborhood.checker} (private memo table, private
-       {!Shacl.Counters} record), so workers share nothing but the
-       immutable graph and schema.}
-    {- {b Merging.}  Chunks accumulate result triples into private hash
-       tables that are merged only when the chunk completes, and the
-       fragment graph is built in a single pass.}}
+       mutex-protected work queue.  Workers share nothing mutable but
+       the queue: each owns its memo tables, its {!Shacl.Counters}
+       records and its accumulator.}
+    {- {b Merging.}  Each chunk writes into private results that are
+       merged into its worker's accumulator only when the chunk
+       completes; the calling domain folds the per-worker accumulators
+       once the pool is joined.}}
+
+    One driver runs both jobs; they differ only in what a chunk does.
+    {!run} checks each candidate with {!Neighborhood.row_checker} over
+    the frozen store: the distinct (focus path, candidate set) pairs of
+    the planned shapes are first evaluated once, set-at-a-time, through
+    {!Rdf.Path.Batch} into a read-only base shared by every worker, and
+    neighborhoods arrive as canonical SPO row ids that are OR'd into a
+    per-worker row bitset — the fragment is decoded from the merged
+    bitset in row order.  {!validate} checks each target node with
+    {!Shacl.Conformance.checker} and writes its verdict into a
+    per-definition array; no provenance is collected.
 
     {b Resilience.}  The chunk is also the engine's fault-isolation
     unit.  A chunk that raises — an injected [Runtime.Fault], an
@@ -47,20 +58,6 @@ type on_error = [ `Fail | `Skip ]
 (** What to do with a shape whose evaluation ultimately failed:
     [`Fail] re-raises (after joining the pool), [`Skip] degrades to a
     partial result with the failure recorded in {!Stats}. *)
-
-type kernel = [ `Batched | `Per_node ]
-(** How path expressions are evaluated on a frozen graph.  [`Batched]
-    (the default) evaluates each distinct (path, candidate-set) pair of
-    the planned shapes once, set-at-a-time, through
-    {!Rdf.Path.eval_batch} into a read-only {!Shacl.Path_memo} base
-    shared by every worker, and — for instrumented fragment runs —
-    accumulates neighborhoods as store-row sets instead of graphs
-    ({!Neighborhood.row_checker}).  [`Per_node] is the classic engine:
-    every path evaluation anchored at one node at a time.  Fragments,
-    reports and verdicts are byte-identical between the two; statistics
-    differ ([batch_calls] &c. are zero under [`Per_node], and the
-    batched kernel may charge a budget for path evaluations the
-    per-node engine would have short-circuited past). *)
 
 (** Execution statistics for one engine run. *)
 module Stats : sig
@@ -107,14 +104,13 @@ module Stats : sig
         (** adjacency-index probes made by path evaluation (each [Prop]
             or inverse-[Prop] application at a node) *)
     batch_calls : int;
-        (** batched path-kernel invocations ({!Rdf.Path.eval_batch};
-            one per (path, source-set) priming).  Zero under
-            [`Per_node]. *)
+        (** set-at-a-time kernel passes of {!run}'s priming phase (one
+            per distinct (path, candidate set)); zero for {!validate} *)
     batch_sources : int;
         (** source nodes evaluated across all batch calls *)
     rows_materialized : int;
-        (** target cells materialized by batch calls (a dense-compacted
-            relation counts its shared row once) *)
+        (** kernel memo entries the priming phase created (sub-path
+            expansions included) *)
     planning : float;      (** seconds spent planning candidate sets
                                (including the containment plan) *)
     wall : float;          (** end-to-end seconds for the run *)
@@ -151,12 +147,10 @@ val requests_of_schema : Shacl.Schema.t -> request list
 
 val run :
   ?schema:Shacl.Schema.t ->
-  ?algorithm:Fragment.algorithm ->
   ?jobs:int ->
   ?budget:Runtime.Budget.t ->
   ?on_error:on_error ->
   ?optimize:bool ->
-  ?kernel:kernel ->
   ?restrict:(Rdf.Term.t -> bool) ->
   Rdf.Graph.t -> request list -> Rdf.Graph.t * Stats.t
 (** [run g requests] computes [⋃ Frag(G, shape)] over the requests and
@@ -190,14 +184,12 @@ val run :
 
 val fragment :
   ?schema:Shacl.Schema.t ->
-  ?algorithm:Fragment.algorithm ->
   ?jobs:int ->
   Rdf.Graph.t -> Shacl.Shape.t list -> Rdf.Graph.t
 (** Drop-in equivalent of {!Fragment.frag}: ad-hoc request shapes, no
     pruning. *)
 
 val fragment_schema :
-  ?algorithm:Fragment.algorithm ->
   ?jobs:int ->
   Shacl.Schema.t -> Rdf.Graph.t -> Rdf.Graph.t
 (** Drop-in equivalent of {!Fragment.frag_schema}, with target pruning
@@ -208,7 +200,6 @@ val validate :
   ?budget:Runtime.Budget.t ->
   ?on_error:on_error ->
   ?optimize:bool ->
-  ?kernel:kernel ->
   ?restrict:(Rdf.Term.t -> bool) ->
   Shacl.Schema.t -> Rdf.Graph.t -> Shacl.Validate.report * Stats.t
 (** Parallel, instrumented equivalent of [Validate.validate]: target
@@ -216,7 +207,8 @@ val validate :
     conformance only (no provenance is collected; [triples_emitted] is
     0).  [restrict] keeps only the target nodes it accepts, as in
     {!run}: per-shard reports cover disjoint targets and their check and
-    violation counts sum to the unrestricted run's.  The report — including the order of its results — is identical
+    violation counts sum to the unrestricted run's.  The report —
+    including the order of its results — is identical
     to the sequential one, except that with [~on_error:`Skip] a failed
     definition's results are excluded wholesale (the report then covers
     exactly the definitions that were fully checked, and {!Stats.degraded}

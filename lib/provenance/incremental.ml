@@ -89,85 +89,16 @@ let index_remove t key support =
 
 (* One fresh checker instance per pair: the [touched] anchors must be
    attributed to this (def, node) alone, which a shared memo table
-   would break (a hit computed for another focus hides its probes).
-   [path_cache] is sound here precisely because it replays the recorded
-   anchors into [touched] on a hit — see [build_path_cache]. *)
-let eval_pair ?path_cache t i v =
+   would break (a hit computed for another focus hides its probes). *)
+let eval_pair t i v =
   let support = ref Term.Set.empty in
   let touched x = support := Term.Set.add x !support in
   let check =
-    Neighborhood.checker ~schema:t.schema ?path_cache ~touched t.graph
+    Neighborhood.checker ~schema:t.schema ~touched t.graph
       t.request_shapes.(i)
   in
   let verdict, nb = check v in
   { verdict; nb; support = !support }
-
-(* Batched recheck support: evaluate every (focus path, dirty node)
-   group of the update through one [Rdf.Path.Batch] context instead of
-   node-at-a-time inside each checker.  Only the compound focus paths
-   are primed ([Path_memo.worth_memoizing]); a cached hit hands the
-   checker the target set plus the probe anchors the per-node
-   evaluation would have visited, so the stored supports — and hence
-   future dirtiness — are unchanged.  Returns [None] when there is
-   nothing to batch (no frozen store, no compound focus path, or no
-   interned recheck node). *)
-let build_path_cache t rechecks =
-  match Graph.store t.graph with
-  | None -> None
-  | Some st ->
-      let wanted : (Path.t, (Term.t, unit) Hashtbl.t) Hashtbl.t =
-        Hashtbl.create 8
-      in
-      List.iter
-        (fun (i, nodes) ->
-          if nodes <> [] then
-            List.iter
-              (fun e ->
-                if Path_memo.worth_memoizing e then begin
-                  let bucket =
-                    match Hashtbl.find_opt wanted e with
-                    | Some b -> b
-                    | None ->
-                        let b = Hashtbl.create 16 in
-                        Hashtbl.add wanted e b;
-                        b
-                  in
-                  List.iter (fun v -> Hashtbl.replace bucket v ()) nodes
-                end)
-              (Conformance.focus_paths t.schema t.request_shapes.(i)))
-        rechecks;
-      if Hashtbl.length wanted = 0 then None
-      else begin
-        let ctx = Path.Batch.create ~anchors:true st in
-        let decode arr =
-          Array.fold_left
-            (fun s id -> Term.Set.add (Store.term st id) s)
-            Term.Set.empty arr
-        in
-        let cache :
-            (Path.t, (Term.t, Term.Set.t * Term.Set.t) Hashtbl.t) Hashtbl.t =
-          Hashtbl.create (Hashtbl.length wanted)
-        in
-        Hashtbl.iter
-          (fun e bucket ->
-            let tbl = Hashtbl.create (Hashtbl.length bucket) in
-            Hashtbl.iter
-              (fun v () ->
-                match Store.id st v with
-                | None -> ()   (* stray node: checker evaluates it live *)
-                | Some vid ->
-                    let targets, anchors = Path.Batch.eval_anchored ctx e vid in
-                    Hashtbl.replace tbl v (decode targets, decode anchors))
-              bucket;
-            if Hashtbl.length tbl > 0 then Hashtbl.add cache e tbl)
-          wanted;
-        if Hashtbl.length cache = 0 then None
-        else
-          Some
-            (fun e v ->
-              Option.bind (Hashtbl.find_opt cache e) (fun tbl ->
-                  Hashtbl.find_opt tbl v))
-      end
 
 let set_entry t i v entry =
   Hashtbl.replace t.entries (i, v) entry;
@@ -230,7 +161,7 @@ type update_stats = {
   rechecked : int;
 }
 
-let apply ?(batch = true) t delta =
+let apply t delta =
   (* Normalize away no-ops so the anchor set covers real changes only. *)
   let delta = Delta.effective delta t.graph in
   let anchors = Delta.terms delta in
@@ -245,38 +176,15 @@ let apply ?(batch = true) t delta =
       | None -> ())
     anchors;
   t.graph <- Graph.freeze (Delta.apply delta t.graph);
-  (* Plan before mutating: the new target/candidate sets and the exact
-     recheck list of every definition, so the batched kernel can prime
-     all (focus path, recheck node) groups in one context. *)
-  let plans =
-    Array.to_list
-      (Array.mapi
-         (fun i def ->
-           (* Target sets are cheap relative to conformance checks and
-              are recomputed exactly — membership has no support set of
-              its own. *)
-           let tset = Validate.target_nodes t.schema t.graph def in
-           let cset = Term.Set.union tset t.consts.(i) in
-           let old = t.csets.(i) in
-           let rechecks =
-             Term.Set.fold
-               (fun v acc ->
-                 if not (Term.Set.mem v old) || Hashtbl.mem dirty (i, v) then
-                   v :: acc
-                 else acc)
-               cset []
-           in
-           (i, tset, cset, old, rechecks))
-         t.defs)
-  in
-  let path_cache =
-    if batch then
-      build_path_cache t (List.map (fun (i, _, _, _, r) -> (i, r)) plans)
-    else None
-  in
   let rechecked = ref 0 in
-  List.iter
-    (fun (i, tset, cset, old, _) ->
+  Array.iteri
+    (fun i def ->
+      (* Target sets are cheap relative to conformance checks and are
+         recomputed exactly — membership has no support set of its
+         own. *)
+      let tset = Validate.target_nodes t.schema t.graph def in
+      let cset = Term.Set.union tset t.consts.(i) in
+      let old = t.csets.(i) in
       Term.Set.iter
         (fun v -> if not (Term.Set.mem v cset) then drop_entry t i v)
         old;
@@ -286,12 +194,12 @@ let apply ?(batch = true) t delta =
           if entered || Hashtbl.mem dirty (i, v) then begin
             if not entered then drop_entry t i v;
             incr rechecked;
-            set_entry t i v (eval_pair ?path_cache t i v)
+            set_entry t i v (eval_pair t i v)
           end)
         cset;
       t.tsets.(i) <- tset;
       t.csets.(i) <- cset)
-    plans;
+    t.defs;
   let stats =
     { removed = List.length delta.Delta.removes;
       added = List.length delta.Delta.adds;

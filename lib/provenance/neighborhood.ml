@@ -52,21 +52,13 @@ let count_store_lookup counters =
   | None -> ignore
   | Some c -> fun () -> c.Counters.store_lookups <- c.Counters.store_lookups + 1
 
-let make_naive ?counters ?(budget = Runtime.Budget.unlimited)
-    ?(schema = Schema.empty) ?path_memo g =
+let make_naive ?(budget = Runtime.Budget.unlimited) ?(schema = Schema.empty) g
+    =
   let memo : (Term.t * Shape.t, Graph.t) Hashtbl.t = Hashtbl.create 256 in
-  let conforms = Conformance.memoized ?counters ~budget ?path_memo schema g in
+  let conforms = Conformance.memoized ~budget schema g in
   let eval e v =
-    match path_memo with
-    | Some table -> Path_memo.eval ?counters table budget g e v
-    | None ->
-        Runtime.Budget.tick budget;
-        (match counters with
-        | Some c -> c.Counters.path_evals <- c.Counters.path_evals + 1
-        | None -> ());
-        Rdf.Path.eval
-          ~step:(Runtime.Budget.step_hook budget)
-          ~lookup:(count_store_lookup counters) g e v
+    Runtime.Budget.tick budget;
+    Rdf.Path.eval ~step:(Runtime.Budget.step_hook budget) g e v
   in
   let trace_all e v ~targets =
     Rdf.Path.trace_all ~step:(Runtime.Budget.step_hook budget) g e v ~targets
@@ -82,11 +74,9 @@ let make_naive ?counters ?(budget = Runtime.Budget.unlimited)
           compute v phi
       | _ ->
       Runtime.Budget.tick budget;
-      count_lookup counters;
       match Hashtbl.find_opt memo (v, phi) with
-      | Some cached -> count_hit counters; cached
+      | Some cached -> cached
       | None ->
-          count_miss counters;
           let result = compute v phi in
           Hashtbl.add memo (v, phi) result;
           result
@@ -988,7 +978,7 @@ let make_row_core ?counters ~budget ~schema st ctx =
   go
 
 let make_core (rep : 'nb rep) ?counters ?(budget = Runtime.Budget.unlimited)
-    ?(schema = Schema.empty) ?path_memo ?path_cache ?touched g =
+    ?(schema = Schema.empty) ?path_memo ?touched g =
   let memo : (Term.t * Shape.t, bool * 'nb) Hashtbl.t = Hashtbl.create 256 in
   (* [touched] collects the anchor of every graph probe this instance
      makes: each focus node entering [compute] (all non-path probes —
@@ -999,11 +989,8 @@ let make_core (rep : 'nb rep) ?counters ?(budget = Runtime.Budget.unlimited)
      whose changed triples have neither endpoint in it makes exactly
      the same probes with exactly the same answers.  [path_memo] is
      bypassed while collecting — a memo hit would hide the probes the
-     cached evaluation made, attributing them to the wrong focus.
-     [path_cache] entries carry their recorded anchors, which are
-     replayed to [touched] on a hit, so batched incremental rechecks
-     collect the same support sets per-node evaluation would. *)
-  let eval_fresh e v =
+     cached evaluation made, attributing them to the wrong focus. *)
+  let eval e v =
     match path_memo with
     | Some table when touched = None ->
         Path_memo.eval ?counters ?fresh:rep.nb_eval_fresh table budget g e v
@@ -1023,19 +1010,6 @@ let make_core (rep : 'nb rep) ?counters ?(budget = Runtime.Budget.unlimited)
             Rdf.Path.eval
               ~step:(Runtime.Budget.step_hook budget)
               ~lookup:(count_store_lookup counters) ?visit:touched g e v)
-  in
-  let eval e v =
-    match path_cache with
-    | None -> eval_fresh e v
-    | Some cache -> (
-        match cache e v with
-        | Some (targets, anchors) ->
-            Runtime.Budget.tick budget;
-            (match touched with
-            | Some f -> Term.Set.iter f anchors
-            | None -> ());
-            targets
-        | None -> eval_fresh e v)
   in
   let trace_all = rep.nb_trace_all in
   let touch v = match touched with Some f -> f v | None -> () in
@@ -1269,19 +1243,16 @@ let make_core (rep : 'nb rep) ?counters ?(budget = Runtime.Budget.unlimited)
   go
 
 let make_instrumented ?counters ?(budget = Runtime.Budget.unlimited)
-    ?schema ?path_memo ?path_cache ?touched g =
+    ?schema ?path_memo ?touched g =
   make_core
     (graph_rep ~budget ?touched g)
-    ?counters ~budget ?schema ?path_memo ?path_cache ?touched g
+    ?counters ~budget ?schema ?path_memo ?touched g
 
 let check ?budget ?schema g v phi =
   make_instrumented ?budget ?schema g v (Shape.nnf phi)
 
-let checker ?counters ?budget ?schema ?path_memo ?path_cache ?touched g phi =
-  let go =
-    make_instrumented ?counters ?budget ?schema ?path_memo ?path_cache
-      ?touched g
-  in
+let checker ?counters ?budget ?schema ?path_memo ?touched g phi =
+  let go = make_instrumented ?counters ?budget ?schema ?path_memo ?touched g in
   let normalized = Shape.nnf phi in
   fun v -> go v normalized
 
@@ -1313,8 +1284,8 @@ let row_checker ?counters ?budget ?schema ?path_memo ?env g phi =
             let verdict, nb = (Lazy.force fallback) v normalized in
             (verdict, Rows.to_array nb)
 
-let naive_checker ?counters ?budget ?schema ?path_memo g phi =
-  let conforms, go = make_naive ?counters ?budget ?schema ?path_memo g in
+let naive_checker ?budget ?schema g phi =
+  let conforms, go = make_naive ?budget ?schema g in
   let normalized = Shape.nnf phi in
   fun v ->
     if conforms v normalized then (true, go v normalized)

@@ -48,9 +48,6 @@ val checker :
   ?budget:Runtime.Budget.t ->
   ?schema:Shacl.Schema.t ->
   ?path_memo:Shacl.Path_memo.t ->
-  ?path_cache:
-    (Rdf.Path.t -> Rdf.Term.t ->
-     (Rdf.Term.Set.t * Rdf.Term.Set.t) option) ->
   ?touched:(Rdf.Term.t -> unit) ->
   Rdf.Graph.t -> Shacl.Shape.t -> (Rdf.Term.t -> bool * Rdf.Graph.t)
 (** Batch variant of {!check}: the shape is normalized once and one memo
@@ -74,15 +71,7 @@ val checker :
     [path_memo] (a memo hit would hide probes from the collector), and
     anchors accumulate across {e all} nodes checked through one
     [checker] instance — use one instance per focus node when per-node
-    attribution matters, as the incremental engine does.
-
-    When [path_cache] is given it is consulted before every path
-    evaluation: a hit [(targets, anchors)] costs one budget tick, the
-    recorded [anchors] are replayed to [touched], and [targets] is
-    used as the evaluation result.  The incremental engine fills such
-    a cache with one batched kernel call per (path, dirty-node set)
-    and threads it into its per-pair checkers — entries must have been
-    computed on the same graph for the same (path, node) keys. *)
+    attribution matters, as the incremental engine does. *)
 
 type row_env
 (** A worker-lifetime id-space evaluation context shared across
@@ -121,7 +110,7 @@ val row_checker :
   Rdf.Graph.t -> Shacl.Shape.t -> (Rdf.Term.t -> bool * int array)
 (** Like {!checker}, but the neighborhood is returned as a sorted,
     duplicate-free array of canonical SPO row ids of the frozen store —
-    the batched engine ORs these straight into its fragment bitset, and
+    the fragment engine ORs these straight into its row bitset, and
     tracing runs in the id-space kernel ({!Rdf.Path.Batch}) with the
     same total budget charge as the term-space trace.  Compound-path
     evaluations also run in the kernel (bare steps stay on the
@@ -133,10 +122,8 @@ val row_checker :
     store ([Rdf.Graph.freeze] it first). *)
 
 val naive_checker :
-  ?counters:Shacl.Counters.t ->
   ?budget:Runtime.Budget.t ->
   ?schema:Shacl.Schema.t ->
-  ?path_memo:Shacl.Path_memo.t ->
   Rdf.Graph.t -> Shacl.Shape.t -> (Rdf.Term.t -> bool * Rdf.Graph.t)
 (** Batch variant of {!b}, with the conformance verdict alongside the
     neighborhood (empty when the node does not conform), mirroring

@@ -238,7 +238,6 @@ let to_seq g = List.to_seq (to_list g)
 
 let freeze g =
   if g.store <> None then g
-  else if g.size = 0 then g
   else begin
     let dummy =
       Triple.make (Term.Blank "") (Iri.of_string "urn:x-dummy") (Term.Blank "")
@@ -290,7 +289,7 @@ let freeze_filter ~keep g =
             objs)
         by_p)
     spo;
-  if !size = 0 then empty
+  if !size = 0 then freeze empty
   else
     freeze
       { spo; pos = !pos; osp = !osp; size = !size;

@@ -27,7 +27,8 @@ val cardinal : t -> int
 
 val freeze : t -> t
 (** Same triple set (and same {!uid}), with an interned {!Store.t}
-    built for it.  Idempotent; [O(n log n)] the first time. *)
+    built for it — an empty one for the empty graph.  Idempotent;
+    [O(n log n)] the first time. *)
 
 val freeze_filter : keep:(Term.t -> bool) -> t -> t
 (** [freeze_filter ~keep g] is the subject partition of [g] — the
@@ -41,7 +42,7 @@ val freeze_filter : keep:(Term.t -> bool) -> t -> t
 val frozen : t -> bool
 
 val store : t -> Store.t option
-(** The interned store, when the graph has been {!freeze}d. *)
+(** The interned store: [Some] exactly when the graph is {!frozen}. *)
 
 val uid : t -> int
 (** Identity of the {e triple set}, for external memo tables: two

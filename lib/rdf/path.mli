@@ -103,11 +103,11 @@ val trace_set :
 (** {1 Batched (set-at-a-time) evaluation}
 
     The per-node core above evaluates [[[E]]^G(a)] one anchor at a time;
-    the batch kernel below propagates a whole set of sources through the
-    frozen store's sorted-array indexes in one pass — bitset frontiers,
-    a delta-driven (semi-naive) fixpoint for [Star], and memoized
-    per-(sub-path, node) expansions shared across every source of the
-    batch.  Results are grouped by source in a {!Relation.t}.
+    the batch kernel below evaluates a set of sources through one
+    context over the frozen store's sorted-array indexes — a
+    delta-driven (semi-naive) fixpoint for [Star], and memoized
+    per-(sub-path, node) expansions shared across every source the
+    context evaluates.  Results are sorted, duplicate-free id arrays.
 
     {b Charge parity.}  The kernel calls [step] once per path-operator
     application and [lookup] once per adjacency probe, exactly like the
@@ -136,11 +136,9 @@ module Batch : sig
 
   val create :
     ?step:(unit -> unit) -> ?step_n:(int -> unit) ->
-    ?lookup:(unit -> unit) -> ?lookup_n:(int -> unit) -> ?anchors:bool ->
+    ?lookup:(unit -> unit) -> ?lookup_n:(int -> unit) ->
     ?base:base -> Store.t -> ctx
-  (** [anchors] (default false) additionally records the probe-anchor
-      set of every evaluation — the id-space counterpart of {!eval}'s
-      [visit] hook — for {!eval_anchored}.  Entries missing from the
+  (** Entries missing from the
       context's own memo are adopted from [base] (when given) with
       their recorded charges replayed, exactly as a memo hit would.
       [step_n]/[lookup_n] are bulk equivalents of [step]/[lookup] used
@@ -176,12 +174,6 @@ module Batch : sig
 
   val eval_inv : ctx -> t -> int -> int array
 
-  val eval_anchored : ctx -> t -> int -> int array * int array
-  (** [(targets, anchors)]; requires a context created with
-      [~anchors:true], else raises [Invalid_argument].  The anchor array
-      is the deduplicated set the per-node core's [visit] hook would
-      have received. *)
-
   val trace : ctx -> t -> sources:int array -> targets:int array -> int array
   (** {!trace_set} in id space: the canonical SPO row ids of
       [⋃ graph(paths(E, G, a, b))] over the given (sorted) source and
@@ -189,16 +181,6 @@ module Batch : sig
       answered from the context's memo with their charges replayed, so
       the [step] total matches the per-node trace. *)
 end
-
-val eval_batch :
-  ?step:(unit -> unit) -> ?lookup:(unit -> unit) ->
-  Store.t -> t -> sources:Bitset.t -> Relation.t
-(** [[[E]]^G] restricted to [sources], grouped by source; compacted to
-    the dense layout when every source saturates to the same row. *)
-
-val eval_batch_inv :
-  ?step:(unit -> unit) -> ?lookup:(unit -> unit) ->
-  Store.t -> t -> sources:Bitset.t -> Relation.t
 
 (** {1 Printing} *)
 

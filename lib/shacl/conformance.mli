@@ -52,8 +52,7 @@ val focus_paths : Schema.t -> Shape.t -> Rdf.Path.t list
     through the schema.  Quantifier {e bodies} are not descended into:
     they are checked at the path's targets, not at the focus.  Sorted
     and duplicate-free; invariant under {!Shape.nnf}.  This is the set
-    the batched engine primes per focus-node set
-    ({!Path_memo.prime}). *)
+    the fragment engine primes per candidate set. *)
 
 val count_path_satisfying :
   Schema.t -> Rdf.Graph.t -> Rdf.Term.t -> Rdf.Path.t -> Shape.t -> int

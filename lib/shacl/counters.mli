@@ -25,14 +25,12 @@ type t = {
       (** adjacency-index probes made by path evaluation (the [lookup]
           hook of {!Rdf.Path.eval}) *)
   mutable batch_calls : int;
-      (** invocations of the batched path kernel
-          ({!Rdf.Path.eval_batch}, one per (path, source-set) priming) *)
+      (** set-at-a-time kernel passes ({!Rdf.Path.Batch}) of the
+          engine's priming phase, one per (path, source set) *)
   mutable batch_sources : int;
       (** source nodes evaluated across all batch calls *)
   mutable rows_materialized : int;
-      (** target-array cells materialized by batch calls
-          ({!Rdf.Relation.materialized} — a dense-compacted relation
-          counts its shared row once) *)
+      (** kernel memo entries created by batch calls *)
 }
 
 val create : unit -> t

@@ -22,42 +22,12 @@
 
 type t
 
-type base
-(** A read-only second layer underneath the per-domain table, filled up
-    front by the batched kernel ({!Rdf.Path.eval_batch}) and shared
-    across worker domains.  Safe to read concurrently once priming is
-    done: nothing writes to it afterwards, and an OCaml [Hashtbl] with
-    no writers never resizes. *)
-
-val create : ?base:base -> unit -> t
-(** [create ?base ()] is a fresh per-domain table; misses fall through
-    to [base] (when given) before evaluating. *)
-
-val base_create : unit -> base
-
-val base_merge : into:base -> base -> unit
-(** Merge one worker's primed tables into a shared base (per-node
-    entries of the same (graph, path) table are combined). *)
+val create : unit -> t
+(** A fresh, empty table. *)
 
 val worth_memoizing : Rdf.Path.t -> bool
 (** Whether the table caches this path at all: bare forward/inverse
     steps ([p], [p⁻]) are cheaper to re-evaluate than to hash. *)
-
-val prime :
-  ?counters:Counters.t ->
-  base -> Runtime.Budget.t -> Rdf.Graph.t -> Rdf.Path.t ->
-  Rdf.Term.t array -> unit
-(** [prime base budget g e nodes] fills [base] with [[E]](v)] for every
-    [v] in [nodes] not already primed, using one
-    {!Rdf.Path.eval_batch} kernel call for all nodes the frozen store's
-    dictionary knows (counted in [batch_calls] / [batch_sources] /
-    [rows_materialized]) and the per-node core for stray constants.
-    Charges the budget's step hook exactly what per-node evaluation of
-    the missing nodes would, but does {e not} tick per node — the tick
-    is paid by the later {!eval} hit, as in the unprimed path.  Paths
-    {!worth_memoizing} rejects are skipped.  Raises
-    [Runtime.Budget.Exhausted] like any evaluation when fuel runs
-    out. *)
 
 val eval :
   ?counters:Counters.t ->
@@ -74,6 +44,6 @@ val eval :
 
     [fresh] replaces the built-in per-node evaluation on misses (and
     for paths that bypass the table).  It must return exactly [[E]](a)
-    and charge the budget's step hook itself — the batched checker
-    passes its id-space kernel here so memo misses and kernel traces
-    share one set of memoized expansions. *)
+    and charge the budget's step hook itself — the row checker passes
+    its id-space kernel here so memo misses and kernel traces share one
+    set of memoized expansions. *)

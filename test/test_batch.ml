@@ -1,22 +1,18 @@
-(* The set-at-a-time batched path kernel (Rdf.Path.eval_batch and
-   Rdf.Path.Batch) against the per-node evaluator, and the engine /
-   incremental layers that ride on it.
+(* The set-at-a-time path kernel (Rdf.Path.Batch) against the per-node
+   evaluator, and the engine layer that rides on it.
 
-   - Differential: eval_batch over a source set produces, source by
-     source, exactly the per-node eval results — and charges the step /
-     lookup hooks the same {e total} (the kernel's memo replays recorded
-     charges, so sharing must not change fuel accounting).  Same for the
-     inverse direction, anchored evaluation, and whole-set tracing.
-   - Engine: ~kernel:`Batched is byte-identical to ~kernel:`Per_node on
-     both the fragment (Turtle serialization) and the validation
-     report, and the batched output does not depend on -j.
-   - Incremental: Incremental.apply ~batch:true ≡ ~batch:false on the
-     maintained report and fragment.
+   - Differential: Batch.eval over a set of sources, sharing one
+     context, produces source by source exactly the per-node eval
+     results — and charges the step / lookup hooks the same {e total}
+     (the kernel's memo replays recorded charges, so sharing must not
+     change fuel accounting).  Same for the inverse direction and
+     whole-set tracing.
+   - Engine: the fragment and the validation report do not depend
+     on -j.
 
    Graphs here extend the shared vocabulary with blank nodes and a
    deliberate closed property walk, so [Star] saturates over nontrivial
-   strongly connected components and dense-relation compaction has
-   something to detect. *)
+   strongly connected components. *)
 
 open Rdf
 open Provenance
@@ -67,11 +63,8 @@ let arbitrary_batch_case =
         (Path.to_string e)
         (String.concat ", " (List.map Term.to_string srcs)))
 
-(* An empty graph freezes without a store; the kernel needs one, so
-   those (trivial) cases are discarded. *)
 let frozen g =
   let g = Graph.freeze g in
-  QCheck.assume (Graph.store g <> None);
   (g, Option.get (Graph.store g))
 
 (* ids ascend with terms, so folding a Term.Set yields a sorted array *)
@@ -94,20 +87,21 @@ let arrays_equal (a : int array) b =
    Array.iteri (fun i x -> if x <> b.(i) then ok := false) a;
    !ok)
 
-(* One batched pass vs per-node evaluation: same rows, same total
-   charge.  [batch] runs the set-at-a-time side, [per_node] one
-   source; both get counting hooks. *)
+(* Every source through one shared kernel context vs per-node
+   evaluation: same rows, same total charge.  [batch] evaluates one
+   source in the shared context, [per_node] one source from scratch;
+   both get counting hooks. *)
 let check_batch_vs_per_node ~batch ~per_node (g, e, srcs) =
   let g, st = frozen g in
   let ids = source_ids st srcs in
-  let sources = Bitset.of_list (Store.n_terms st) ids in
   let bsteps = ref 0 and blookups = ref 0 in
-  let rel =
-    batch
-      ?step:(Some (fun () -> incr bsteps))
-      ?lookup:(Some (fun () -> incr blookups))
-      st e ~sources
+  let ctx =
+    Path.Batch.create
+      ~step:(fun () -> incr bsteps)
+      ~lookup:(fun () -> incr blookups)
+      st
   in
+  let rows = List.map (fun a -> (a, batch ctx e a)) ids in
   let psteps = ref 0 and plookups = ref 0 in
   List.for_all
     (fun a ->
@@ -118,14 +112,9 @@ let check_batch_vs_per_node ~batch ~per_node (g, e, srcs) =
              ?lookup:(Some (fun () -> incr plookups))
              g e (Store.term st a))
       in
-      match Relation.row rel a with
-      | None -> QCheck.Test.fail_reportf "source %d missing from relation" a
-      | Some row ->
-          arrays_equal expect row
-          || QCheck.Test.fail_reportf "rows differ at source %d" a)
+      arrays_equal expect (List.assoc a rows)
+      || QCheck.Test.fail_reportf "rows differ at source %d" a)
     ids
-  && (Relation.n_rows rel = List.length ids
-     || QCheck.Test.fail_report "relation evaluated extra sources")
   && ((!bsteps, !blookups) = (!psteps, !plookups)
      || QCheck.Test.fail_reportf
           "charge differs: batched %d step(s) / %d lookup(s), per-node %d / %d"
@@ -133,39 +122,17 @@ let check_batch_vs_per_node ~batch ~per_node (g, e, srcs) =
 
 let prop_eval_batch =
   QCheck.Test.make
-    ~name:"eval_batch ≡ per-node eval (rows and total charge)" ~count:500
+    ~name:"Batch.eval ≡ per-node eval (rows and total charge)" ~count:500
     arbitrary_batch_case
-    (check_batch_vs_per_node ~batch:Path.eval_batch
+    (check_batch_vs_per_node ~batch:Path.Batch.eval
        ~per_node:(fun ?step ?lookup g e a -> Path.eval ?step ?lookup g e a))
 
 let prop_eval_batch_inv =
   QCheck.Test.make
-    ~name:"eval_batch_inv ≡ per-node eval_inv (rows and total charge)"
+    ~name:"Batch.eval_inv ≡ per-node eval_inv (rows and total charge)"
     ~count:300 arbitrary_batch_case
-    (check_batch_vs_per_node ~batch:Path.eval_batch_inv
+    (check_batch_vs_per_node ~batch:Path.Batch.eval_inv
        ~per_node:(fun ?step ?lookup g e a -> Path.eval_inv ?step ?lookup g e a))
-
-(* Anchored evaluation: the kernel's recorded anchor set is exactly the
-   deduplicated per-node [visit] stream. *)
-let prop_eval_anchored =
-  QCheck.Test.make ~name:"eval_anchored ≡ visit-collected anchors" ~count:300
-    arbitrary_batch_case
-    (fun (g, e, srcs) ->
-      let g, st = frozen g in
-      let ctx = Path.Batch.create ~anchors:true st in
-      List.for_all
-        (fun a ->
-          let targets, anchors = Path.Batch.eval_anchored ctx e a in
-          let visited = ref Term.Set.empty in
-          let expect =
-            encode_set st
-              (Path.eval
-                 ~visit:(fun x -> visited := Term.Set.add x !visited)
-                 g e (Store.term st a))
-          in
-          arrays_equal expect targets
-          && arrays_equal (encode_set st !visited) anchors)
-        (source_ids st srcs))
 
 (* Whole-set tracing: the id-space rows decode to exactly the term-space
    trace_set graph. *)
@@ -194,26 +161,9 @@ let prop_trace =
       in
       Graph.equal traced expect)
 
-(* --- engine: batched kernel is invisible in the output ------------- *)
+(* --- engine: output independent of -j ------------------------------ *)
 
 let report_bytes r = Format.asprintf "%a" Shacl.Validate.pp_report r
-
-let prop_engine_kernel_identical =
-  QCheck.Test.make
-    ~name:"Engine `Batched ≡ `Per_node (fragment and report bytes)"
-    ~count:100
-    (QCheck.pair (QCheck.make gen_cyc_graph
-                    ~print:(fun g -> Format.asprintf "%a" Graph.pp g))
-       Test_engine.arbitrary_schema)
-    (fun (g, schema) ->
-      let requests = Engine.requests_of_schema schema in
-      let frag_per, _ = Engine.run ~schema ~kernel:`Per_node g requests in
-      let frag_batch, _ = Engine.run ~schema ~kernel:`Batched g requests in
-      let rep_per, _ = Engine.validate ~kernel:`Per_node schema g in
-      let rep_batch, _ = Engine.validate ~kernel:`Batched schema g in
-      String.equal (Turtle.to_string frag_per) (Turtle.to_string frag_batch)
-      && Graph.equal frag_per frag_batch
-      && String.equal (report_bytes rep_per) (report_bytes rep_batch))
 
 let prop_engine_jobs_deterministic =
   QCheck.Test.make
@@ -223,47 +173,15 @@ let prop_engine_jobs_deterministic =
        Test_engine.arbitrary_schema)
     (fun (g, schema) ->
       let requests = Engine.requests_of_schema schema in
-      let frag1, _ = Engine.run ~schema ~jobs:1 ~kernel:`Batched g requests in
-      let rep1, _ = Engine.validate ~jobs:1 ~kernel:`Batched schema g in
+      let frag1, _ = Engine.run ~schema ~jobs:1 g requests in
+      let rep1, _ = Engine.validate ~jobs:1 schema g in
       List.for_all
         (fun jobs ->
-          let fragj, _ =
-            Engine.run ~schema ~jobs ~kernel:`Batched g requests
-          in
-          let repj, _ = Engine.validate ~jobs ~kernel:`Batched schema g in
+          let fragj, _ = Engine.run ~schema ~jobs g requests in
+          let repj, _ = Engine.validate ~jobs schema g in
           String.equal (Turtle.to_string frag1) (Turtle.to_string fragj)
           && String.equal (report_bytes rep1) (report_bytes repj))
         [ 2; 4 ])
-
-(* --- incremental: batched rechecks are invisible in the output ----- *)
-
-let prop_incremental_batch =
-  QCheck.Test.make
-    ~name:"Incremental.apply ~batch:true ≡ ~batch:false" ~count:60
-    (QCheck.triple
-       (QCheck.make gen_cyc_graph
-          ~print:(fun g -> Format.asprintf "%a" Graph.pp g))
-       Test_engine.arbitrary_schema
-       (QCheck.make
-          QCheck.Gen.(pair (list_size (int_range 0 3) gen_cyc_triple)
-                        (list_size (int_range 0 3) gen_cyc_triple))
-          ~print:(fun (adds, removes) ->
-            Format.asprintf "adds: %a@.removes: %a" Graph.pp
-              (Graph.of_list adds) Graph.pp (Graph.of_list removes))))
-    (fun (g, schema, (adds, removes)) ->
-      let delta = Delta.make ~adds ~removes () in
-      let inc_b = Incremental.create ~schema g in
-      let inc_c = Incremental.create ~schema g in
-      ignore (Incremental.apply ~batch:true inc_b delta
-              : Incremental.update_stats);
-      ignore (Incremental.apply ~batch:false inc_c delta
-              : Incremental.update_stats);
-      String.equal
-        (report_bytes (Incremental.report inc_b))
-        (report_bytes (Incremental.report inc_c))
-      && String.equal
-           (Turtle.to_string (Incremental.fragment inc_b))
-           (Turtle.to_string (Incremental.fragment inc_c)))
 
 (* --- row checker: id-space rows decode to the term-space graph ----- *)
 
@@ -319,11 +237,8 @@ let prop_row_checker =
 let props =
   [ prop_eval_batch;
     prop_eval_batch_inv;
-    prop_eval_anchored;
     prop_trace;
-    prop_engine_kernel_identical;
     prop_engine_jobs_deterministic;
-    prop_incremental_batch;
     prop_row_checker ]
 
 let suite = []

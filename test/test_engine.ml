@@ -1,8 +1,8 @@
 (* The parallel fragment engine (Engine) against its sequential oracle
    (Fragment), plus the engine's statistics invariants.
 
-   - Differential: Engine.fragment ≡ Fragment.frag for both algorithms,
-     and Engine.fragment_schema ≡ Fragment.frag_schema (exercising the
+   - Differential: Engine.fragment ≡ Fragment.frag, and
+     Engine.fragment_schema ≡ Fragment.frag_schema (exercising the
      target-pruning planner, including its fallback for non-monotone
      targets).
    - Determinism: the fragment does not depend on -j.
@@ -74,19 +74,6 @@ let prop_differential_instrumented =
             oracle
             (Engine.fragment ~jobs g shapes))
         [ 1; 2; 4 ])
-
-let prop_differential_naive =
-  QCheck.Test.make ~name:"Engine ≡ Fragment.frag (naive)" ~count:100
-    QCheck.(pair Tgen.arbitrary_graph arbitrary_shapes)
-    (fun (g, shapes) ->
-      let oracle = Fragment.frag ~algorithm:Fragment.Naive g shapes in
-      List.for_all
-        (fun jobs ->
-          check_equal
-            ~what:(Printf.sprintf "naive fragments (-j %d)" jobs)
-            oracle
-            (Engine.fragment ~algorithm:Fragment.Naive ~jobs g shapes))
-        [ 1; 2 ])
 
 (* --- differential: schema requests (target pruning) ---------------- *)
 
@@ -321,6 +308,25 @@ let test_validate_matches () =
        report.Validate.results);
   Alcotest.(check int) "no triples emitted" 0 stats.Engine.Stats.triples_emitted
 
+(* The empty graph freezes to an empty store: every candidate is a
+   stray constant the dictionary has never seen, answered by the
+   checkers' per-node fallback. *)
+let test_empty_graph () =
+  let c = ex "c" in
+  let shape = Shape.Has_value c in
+  let frag, fstats = Engine.run Graph.empty [ Engine.request shape ] in
+  Alcotest.check Tgen.graph_testable "fragment = Fragment.frag"
+    (Fragment.frag Graph.empty [ shape ])
+    frag;
+  Alcotest.(check int) "run: c conforms" 1 fstats.Engine.Stats.conforming;
+  let schema = Schema.def_list [ ("http://example.org/C", shape, shape) ] in
+  let oracle = Validate.validate schema Graph.empty in
+  let report, vstats = Engine.validate schema Graph.empty in
+  Alcotest.(check bool) "report = Validate.validate" true
+    (oracle.Validate.conforms = report.Validate.conforms
+    && List.equal result_equal oracle.Validate.results report.Validate.results);
+  Alcotest.(check int) "validate: c conforms" 1 vstats.Engine.Stats.conforming
+
 (* --- fault isolation and graceful degradation ----------------------- *)
 
 (* Two independent definitions so one can fail while the other's
@@ -515,6 +521,7 @@ let suite =
     "stats: pruning and counts", `Quick, test_stats_pruning;
     "stats: emitted and memo", `Quick, test_stats_counts;
     "parallel validate parity", `Quick, test_validate_matches;
+    "empty graph: run and validate", `Quick, test_empty_graph;
     "deterministic merge across -j", `Quick, test_deterministic_merge;
     "fault isolation", `Quick, test_fault_isolation;
     "transient fault: retry succeeds", `Quick, test_fault_retry_succeeds;
@@ -524,7 +531,7 @@ let suite =
     test_validate_skip_excludes_failed ]
 
 let props =
-  [ prop_differential_instrumented; prop_differential_naive;
+  [ prop_differential_instrumented;
     prop_differential_schema; prop_determinism; prop_byte_determinism;
     prop_conformance_preserved;
     prop_sufficiency_engine; prop_validate_parity; prop_stats_invariants;

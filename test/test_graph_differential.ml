@@ -382,8 +382,15 @@ let test_frozen_remove_clears_indexes () =
 
 let test_freeze_empty () =
   let g = Graph.freeze Graph.empty in
-  Alcotest.(check bool) "empty graph has no store" false (Graph.frozen g);
-  Alcotest.(check bool) "still empty" true (Graph.is_empty g)
+  Alcotest.(check bool) "empty graph gets a store" true (Graph.frozen g);
+  Alcotest.(check (option (pair int int))) "with no triples and no terms"
+    (Some (0, 0))
+    (Option.map
+       (fun st -> (Store.n_triples st, Store.n_terms st))
+       (Graph.store g));
+  Alcotest.(check bool) "still empty" true (Graph.is_empty g);
+  Alcotest.check Tgen.term_set_testable "paths answer empty" Term.Set.empty
+    (Path.eval g (Path.Seq (Path.Prop p, Path.Prop q)) a)
 
 let test_store_counts_probes () =
   let g = Graph.freeze (Graph.add a p b (Graph.add b q c Graph.empty)) in
